@@ -201,6 +201,10 @@ def main(argv=None) -> int:
         parser.error("--dim must be >= 1")
     if args.radius < 1:
         parser.error("--radius must be >= 1")
+    if args.samples < 0:
+        parser.error("--samples must be >= 0")
+    if args.max_tuples < 1:
+        parser.error("--max-tuples must be >= 1")
     cfg = config_from_args(args)
     if args.command == "verify":
         return cmd_verify(cfg, args.suite)

@@ -39,8 +39,7 @@ from .cohomology import Cochain, GaugeContext, cochain_wedge
 from .fields import MatrixFunction, VectorField, divergence, neg_jacobian
 from .forms import FormClass, PForm, contract, ext_d, reduce_mod_exact
 from .linalg import mat_mul
-from .rings import MismatchError, RingElement
-from .sampling import box_modes
+from .rings import MismatchError, RingElement, box_modes
 
 FormMatrix = dict[tuple[int, int], PForm]
 

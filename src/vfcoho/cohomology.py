@@ -20,10 +20,10 @@ multiplies cochains by the shuffle sum, which agrees with the
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import methodcaller
 from typing import Callable, Sequence
 
 from .fields import MatrixFunction, VectorField, field_action
@@ -31,8 +31,8 @@ from .forms import FormClass, PForm, lie_derive, reduce_mod_exact
 from .linalg import echelon_rank, mat_mul
 from .reports import CheckReport
 from .rings import MismatchError, RingElement, as_scalar
-from .sampling import (basis_fields, derive_seed, index_tuples, random_field,
-                       random_ring, random_scalar)
+from .sampling import (basis_fields, derive_seed, model_modes, random_field,
+                       random_ring, random_scalar, run_check, seeded_cases)
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
@@ -305,18 +305,6 @@ def zero_value(values: str, n: int, model: str, degree: int | None):
     return 0
 
 
-def value_is_zero(v) -> bool:
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return not v
-
-
-def value_text(v) -> str:
-    if hasattr(v, "text"):
-        return v.text()
-    return str(Fraction(v))
-
-
 def module_action(cochain: Cochain) -> Callable:
     """How a domain element acts on the cochain's values."""
     if cochain.domain != "fields" or cochain.values == "scalar":
@@ -375,7 +363,6 @@ def _domain_elements(cochain: Cochain, radius: int):
     if cochain.domain == "fields":
         return basis_fields(cochain.model, cochain.n, radius)
     if cochain.domain == "gauge":
-        from .sampling import model_modes
         return cochain.ctx.basis_elements(model_modes(cochain.model, cochain.n, radius))
     return [cochain.ctx.basis_vector(a) for a in range(cochain.ctx.dim)]
 
@@ -388,12 +375,6 @@ def _random_domain_element(cochain: Cochain, rng: random.Random, radius: int):
     return tuple(random_scalar(rng) for _ in range(cochain.ctx.dim))
 
 
-def _element_text(cochain: Cochain, element) -> str:
-    if cochain.domain == "finite":
-        return cochain.ctx.vector_text(element)
-    return element.text()
-
-
 def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
                seed: int = 7, max_tuples: int = 20000,
                name: str | None = None) -> CheckReport:
@@ -403,7 +384,6 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
     `max_tuples`; beyond that, a seeded uniform sample of that size.
     Residuals are exact, so any failure produces a concrete witness.
     """
-    start = time.perf_counter()
     check_name = name or f"cocycle:{cochain.name}"
     rng = random.Random(derive_seed(seed, check_name))
     action = module_action(cochain)
@@ -414,31 +394,14 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
               "max_tuples": max_tuples, "arity": arity,
               "basis_size": len(elements)}
     params.update(cochain.spec_dict())
-
-    def fail(args, residual, count) -> CheckReport:
-        return CheckReport(
-            name=check_name, params=params, status="fail", tuples=count,
-            witness={"args": [_element_text(cochain, a) for a in args],
-                     "residual": value_text(residual)},
-            wall_ms=(time.perf_counter() - start) * 1000.0)
-
-    count = 0
-    tuples_iter, _total, exhaustive = index_tuples(len(elements), arity, max_tuples, rng)
-    params["exhaustive"] = exhaustive
-    for idx in tuples_iter:
-        args = tuple(elements[i] for i in idx)
-        residual = ce_apply(cochain, args, action, bracket_fn)
-        count += 1
-        if not value_is_zero(residual):
-            return fail(args, residual, count)
-    for _ in range(samples):
-        args = tuple(_random_domain_element(cochain, rng, radius) for _ in range(arity))
-        residual = ce_apply(cochain, args, action, bracket_fn)
-        count += 1
-        if not value_is_zero(residual):
-            return fail(args, residual, count)
-    return CheckReport(name=check_name, params=params, status="pass", tuples=count,
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
+    cases, exhaustive = seeded_cases(
+        rng, elements, arity, max_tuples, samples,
+        lambda rng: _random_domain_element(cochain, rng, radius))
+    text = (cochain.ctx.vector_text if cochain.domain == "finite"
+            else methodcaller("text"))
+    return run_check(check_name, params, cases, exhaustive,
+                     lambda *args: ce_apply(cochain, args, action, bracket_fn),
+                     text)
 
 
 # -- finite-dimensional cohomology ------------------------------------------
@@ -564,7 +527,6 @@ def is_equivariant(cochain: Cochain, radius: int = 1, samples: int = 50,
     """
     if cochain.domain != "gauge":
         raise MismatchError("equivariance applies to gauge cochains")
-    start = time.perf_counter()
     check_name = name or f"equivariant:{cochain.name}"
     rng = random.Random(derive_seed(seed, check_name))
     ctx: GaugeContext = cochain.ctx
@@ -572,45 +534,23 @@ def is_equivariant(cochain: Cochain, radius: int = 1, samples: int = 50,
                              cochain.n, cochain.model, cochain.value_degree)
     act = module_action(fields_cochain)
     fields = basis_fields(cochain.model, cochain.n, radius)
-    from .sampling import model_modes
     gauge = ctx.basis_elements(model_modes(cochain.model, cochain.n, radius))
     k = cochain.degree
     params = {"radius": radius, "samples": samples, "seed": seed, "arity": k + 1}
-    count = 0
 
-    def residual(x, us):
+    def residual(x, *us):
         lhs = act(x, cochain.evaluate(*us))
         for j in range(k):
             shifted = us[:j] + (ctx.outer(x, us[j]),) + us[j + 1:]
             lhs = lhs - cochain.evaluate(*shifted)
         return lhs
 
-    tuples_iter, total, exhaustive = index_tuples(len(gauge), k, max_tuples, rng)
-    params["exhaustive"] = exhaustive
-    for idx in tuples_iter:
-        us = tuple(gauge[i] for i in idx)
-        for x in fields:
-            count += 1
-            r = residual(x, us)
-            if not value_is_zero(r):
-                return CheckReport(
-                    name=check_name, params=params, status="fail", tuples=count,
-                    witness={"field": x.text(), "args": [u.text() for u in us],
-                             "residual": value_text(r)},
-                    wall_ms=(time.perf_counter() - start) * 1000.0)
-    for _ in range(samples):
-        x = random_field(rng, cochain.model, cochain.n, radius)
-        us = tuple(ctx.random_element(rng, radius) for _ in range(k))
-        count += 1
-        r = residual(x, us)
-        if not value_is_zero(r):
-            return CheckReport(
-                name=check_name, params=params, status="fail", tuples=count,
-                witness={"field": x.text(), "args": [u.text() for u in us],
-                         "residual": value_text(r)},
-                wall_ms=(time.perf_counter() - start) * 1000.0)
-    return CheckReport(name=check_name, params=params, status="pass", tuples=count,
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
+    gauge_tuples, exhaustive = seeded_cases(rng, gauge, k, max_tuples, 0, None)
+    basis = ((x,) + us for us in gauge_tuples for x in fields)
+    drawn = ((random_field(rng, cochain.model, cochain.n, radius),)
+             + tuple(ctx.random_element(rng, radius) for _ in range(k))
+             for _ in range(samples))
+    return run_check(check_name, params, chain(basis, drawn), exhaustive, residual)
 
 
 def matrix_to_gauge(ctx: GaugeContext, m: MatrixFunction) -> GaugeElement:

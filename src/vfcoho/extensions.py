@@ -24,18 +24,16 @@ affecting any cocycle property.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .cohomology import Cochain, FiniteLieAlgebra, GaugeContext, GaugeElement
 from .fields import VectorField
 from .forms import FormClass, PForm, ext_d, lie_derive, reduce_mod_exact
 from .reports import CheckReport
-from .rings import MismatchError, RingElement, as_scalar
-from .sampling import (box_modes, derive_seed, index_tuples, random_field,
-                       random_ring, random_scalar)
+from .rings import MismatchError, as_scalar, box_modes
+from .sampling import (derive_seed, random_field, random_ring, random_scalar,
+                       run_check, seeded_cases)
 
 
 class InvariantForm:
@@ -227,81 +225,36 @@ def jacobi_check(setup: ExtensionSetup, radius: int = 1, samples: int = 200,
                  seed: int = 7, max_tuples: int = 4000,
                  name: str = "jacobi") -> CheckReport:
     """Cyclic Jacobi identity on basis triples plus seeded random triples."""
-    start = time.perf_counter()
     rng = random.Random(derive_seed(seed, name))
     elements = _basis_extension_elements(setup, radius)
     params = {"radius": radius, "samples": samples, "seed": seed,
               "max_tuples": max_tuples, "basis_size": len(elements),
               "twist": setup.tau.name if setup.tau else "none"}
-    count = 0
+    cases, exhaustive = seeded_cases(
+        rng, elements, 3, max_tuples, samples,
+        lambda rng: _random_extension_element(setup, rng, radius))
+    return run_check(name, params, cases, exhaustive, jacobi_residual)
 
-    def fail(triple, residual) -> CheckReport:
-        return CheckReport(
-            name=name, params=params, status="fail", tuples=count,
-            witness={"args": [e.text() for e in triple], "residual": residual.text()},
-            wall_ms=(time.perf_counter() - start) * 1000.0)
 
-    tuples_iter, _total, exhaustive = index_tuples(len(elements), 3, max_tuples, rng)
-    params["exhaustive"] = exhaustive
-    for idx in tuples_iter:
-        triple = tuple(elements[i] for i in idx)
-        count += 1
-        residual = jacobi_residual(*triple)
-        if not residual.is_zero():
-            return fail(triple, residual)
-    for _ in range(samples):
-        triple = tuple(_random_extension_element(setup, rng, radius) for _ in range(3))
-        count += 1
-        residual = jacobi_residual(*triple)
-        if not residual.is_zero():
-            return fail(triple, residual)
-    return CheckReport(name=name, params=params, status="pass", tuples=count,
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
+def antisymmetry_residual(a: ExtensionElement,
+                          b: ExtensionElement) -> ExtensionElement:
+    """[a,b] + [b,a], or [a,a] when that sum vanishes."""
+    r = extension_bracket(a, b) + extension_bracket(b, a)
+    return r if not r.is_zero() else extension_bracket(a, a)
 
 
 def antisymmetry_check(setup: ExtensionSetup, radius: int = 1, samples: int = 100,
                        seed: int = 7, max_tuples: int = 4000,
                        name: str = "antisymmetry") -> CheckReport:
     """[a,b] + [b,a] = 0 and [a,a] = 0 on basis pairs plus random pairs."""
-    start = time.perf_counter()
     rng = random.Random(derive_seed(seed, name))
     elements = _basis_extension_elements(setup, radius)
     params = {"radius": radius, "samples": samples, "seed": seed,
               "twist": setup.tau.name if setup.tau else "none"}
-    count = 0
-    tuples_iter, _total, exhaustive = index_tuples(len(elements), 2, max_tuples, rng)
-    params["exhaustive"] = exhaustive
-
-    def bad(a, b) -> ExtensionElement | None:
-        r = extension_bracket(a, b) + extension_bracket(b, a)
-        if not r.is_zero():
-            return r
-        r = extension_bracket(a, a)
-        if not r.is_zero():
-            return r
-        return None
-
-    for idx in tuples_iter:
-        a, b = (elements[i] for i in idx)
-        count += 1
-        r = bad(a, b)
-        if r is not None:
-            return CheckReport(name=name, params=params, status="fail", tuples=count,
-                               witness={"a": a.text(), "b": b.text(),
-                                        "residual": r.text()},
-                               wall_ms=(time.perf_counter() - start) * 1000.0)
-    for _ in range(samples):
-        a = _random_extension_element(setup, rng, radius)
-        b = _random_extension_element(setup, rng, radius)
-        count += 1
-        r = bad(a, b)
-        if r is not None:
-            return CheckReport(name=name, params=params, status="fail", tuples=count,
-                               witness={"a": a.text(), "b": b.text(),
-                                        "residual": r.text()},
-                               wall_ms=(time.perf_counter() - start) * 1000.0)
-    return CheckReport(name=name, params=params, status="pass", tuples=count,
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
+    cases, exhaustive = seeded_cases(
+        rng, elements, 2, max_tuples, samples,
+        lambda rng: _random_extension_element(setup, rng, radius))
+    return run_check(name, params, cases, exhaustive, antisymmetry_residual)
 
 
 # -- twists -------------------------------------------------------------------
@@ -343,74 +296,3 @@ def planted_noncocycle_twist(n: int, model: str) -> Cochain:
 
     return Cochain("planted_noncocycle", 2, ev, "fields", "class", n, model,
                    value_degree=1)
-
-
-def field_twist(cochain: Cochain) -> Cochain:
-    """Adapt any field-domain 2-cochain with 1-form-class values as a twist."""
-    if cochain.degree != 2 or cochain.values != "class" or cochain.value_degree != 1:
-        raise MismatchError("a twist must be a 2-cochain valued in 1-form classes")
-    return cochain
-
-
-# -- structure constant export -------------------------------------------------
-
-
-def export_truncation(setup: ExtensionSetup, radius: int) -> dict:
-    """Exact structure constants between basis elements with modes in the
-    box; products are expanded in the box of doubled radius."""
-    ctx = setup.ctx
-    small = _basis_extension_elements(setup, radius)
-    big = _basis_extension_elements(setup, 2 * radius)
-    labels = [_element_label(e, i) for i, e in enumerate(big)]
-
-    def decompose(e: ExtensionElement) -> list[tuple[str, str]] | None:
-        out = []
-        remaining = e
-        for i, basis in enumerate(big):
-            coeff = _leading_match(remaining, basis)
-            if coeff:
-                remaining = remaining - _scale_element(basis, coeff)
-                out.append((labels[i], str(Fraction(coeff))))
-        if not remaining.is_zero():
-            return None
-        return out
-
-    table = {}
-    for i, j in combinations(range(len(small)), 2):
-        bracket = extension_bracket(small[i], small[j])
-        if bracket.is_zero():
-            continue
-        expansion = decompose(bracket)
-        key = f"[{_element_label(small[i], i)}, {_element_label(small[j], j)}]"
-        table[key] = expansion if expansion is not None else "outside box"
-    return {"radius": radius, "dim": ctx.n, "model": ctx.model,
-            "algebra": list(ctx.lie.names), "brackets": table}
-
-
-def _scale_element(e: ExtensionElement, c) -> ExtensionElement:
-    return ExtensionElement(e.setup, e.gauge.scale(c), e.central.scale(c),
-                            e.field.scale(c))
-
-
-def _leading_match(e: ExtensionElement, basis: ExtensionElement):
-    """Coefficient of `basis` (a single-monomial element) inside `e`."""
-    for a, f in enumerate(basis.gauge.coeffs):
-        for mode, c in f.terms.items():
-            got = e.gauge.coeffs[a].terms.get(mode, 0)
-            return Fraction(got, 1) / c if got else 0
-    for key, c in basis.central.rep.terms.items():
-        got = e.central.rep.terms.get(key, 0)
-        return Fraction(got, 1) / c if got else 0
-    for j, f in enumerate(basis.field.coeffs):
-        for mode, c in f.terms.items():
-            got = e.field.coeffs[j].terms.get(mode, 0)
-            return Fraction(got, 1) / c if got else 0
-    return 0
-
-
-def _element_label(e: ExtensionElement, index: int) -> str:
-    if not e.gauge.is_zero():
-        return f"g:{e.gauge.text()}"
-    if not e.central.is_zero():
-        return f"c:{e.central.text()}"
-    return f"v:{e.field.text()}"

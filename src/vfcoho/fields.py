@@ -11,10 +11,10 @@ Jacobian of the coefficient vector in the frame.  It satisfies
 
     u([X, Y]) = [u(X), u(Y)] + X.u(Y) - Y.u(X)
 
-(a crossed homomorphism into matrix functions), which `check_crossed_hom`
-verifies on sampled pairs, and its kernel is exactly the constant fields.
-Flipping the sign breaks the identity as soon as two Jacobians fail to
-commute: matrices sit in different rows.
+(a crossed homomorphism into matrix functions; the crossed-hom checks
+evaluate `crossed_hom_residual` on sampled pairs), and its kernel is
+exactly the constant fields.  Flipping the sign breaks the identity as
+soon as two Jacobians fail to commute: matrices sit in different rows.
 """
 
 from __future__ import annotations
@@ -254,25 +254,6 @@ def crossed_hom_residual(theta: Callable[[VectorField], MatrixFunction],
     tx, ty = theta(x), theta(y)
     rhs = tx.commutator(ty) + ty.apply_derivation(x) - tx.apply_derivation(y)
     return lhs - rhs
-
-
-def check_crossed_hom(theta: Callable[[VectorField], MatrixFunction],
-                      pairs: Iterable[tuple[VectorField, VectorField]],
-                      name: str = "crossed_hom",
-                      params: dict | None = None) -> CheckReport:
-    """Verify theta([X,Y]) = [theta X, theta Y] + X.theta(Y) - Y.theta(X)."""
-    start = time.perf_counter()
-    count = 0
-    for x, y in pairs:
-        count += 1
-        residual = crossed_hom_residual(theta, x, y)
-        if not residual.is_zero():
-            return CheckReport(
-                name=name, params=params or {}, status="fail", tuples=count,
-                witness={"x": x.text(), "y": y.text(), "residual": residual.text()},
-                wall_ms=(time.perf_counter() - start) * 1000.0)
-    return CheckReport(name=name, params=params or {}, status="pass", tuples=count,
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
 
 
 def check_maurer_cartan(coframe: Sequence[PForm],

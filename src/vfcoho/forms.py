@@ -30,7 +30,8 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import echelon_rank, in_span, reduce_against, rref
-from .rings import AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement, as_scalar, scalar_text
+from .rings import (AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement,
+                    affine_modes, as_scalar, box_modes, scalar_text)
 
 Subset = tuple[int, ...]
 Key = tuple[Mode, Subset]
@@ -346,20 +347,11 @@ def _affine_component_basis(n: int, degree: int, weight: int) -> list[Key]:
         return []
     keys: list[Key] = []
     for subset in combinations(range(1, n + 1), degree):
-        for mode in _monomials_of_degree(n, poly):
-            keys.append((mode, subset))
+        for mode in affine_modes(n, poly):
+            if sum(mode) == poly:
+                keys.append((mode, subset))
     keys.sort()
     return keys
-
-
-def _monomials_of_degree(n: int, total: int) -> list[Mode]:
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _monomials_of_degree(n - 1, total - first):
-            out.append((first,) + rest)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -533,7 +525,7 @@ def de_rham_dims(model: str, n: int, radius: int = 2, max_weight: int = 4) -> li
     rank counting on weight components up to `max_weight`.
     """
     if model == TORUS:
-        modes = [m for m in _box_modes(n, radius) if any(m)]
+        modes = [m for m in box_modes(n, radius) if any(m)]
         for mode in modes:
             ranks = []
             for p in range(n + 1):
@@ -586,13 +578,3 @@ def de_rham_dims(model: str, n: int, radius: int = 2, max_weight: int = 4) -> li
             raise AssertionError(f"affine complex not acyclic in sampled weights: {dims}")
         return expected
     raise MismatchError(f"unknown model {model!r}")
-
-
-def _box_modes(n: int, radius: int) -> list[Mode]:
-    if n == 0:
-        return [()]
-    out = []
-    for e in range(-radius, radius + 1):
-        for rest in _box_modes(n - 1, radius):
-            out.append((e,) + rest)
-    return out

@@ -67,8 +67,9 @@ def reduce_against(vector: Row, rref_rows: Matrix, pivots: list[int]) -> Row:
 def in_span(vector: Row, basis: Matrix) -> list[Fraction] | None:
     """Coefficients writing `vector` over the rows of `basis`, or None.
 
-    Solved by eliminating on [basis | I] so the coefficients refer to the
-    original rows, not the echelon ones.
+    Every row of rref([basis | I]) is (c.basis, c) for some c, so reducing
+    (vector, 0) against the rows pivoting inside the basis block leaves
+    (0, -coefficients) exactly when `vector` lies in the span.
     """
     if not basis:
         return [] if not any(vector) else None
@@ -76,35 +77,13 @@ def in_span(vector: Row, basis: Matrix) -> list[Fraction] | None:
     if len(vector) != width:
         raise ValueError("vector/basis width mismatch")
     k = len(basis)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(basis)]
-    rows = [list(r) for r in aug]
-    pivots: list[int] = []
-    lead = 0
-    for col in range(width):  # pivot only inside the basis block
-        src = next((i for i in range(lead, k) if rows[i][col]), None)
-        if src is None:
-            continue
-        rows[lead], rows[src] = rows[src], rows[lead]
-        inv = Fraction(1, 1) / Fraction(rows[lead][col])
-        rows[lead] = [inv * v for v in rows[lead]]
-        for i in range(k):
-            if i != lead and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == k:
-            break
-    v = list(vector)
-    coeffs = [Fraction(0)] * k
-    for row, p in zip(rows[:lead], pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row[:width])]
-            coeffs = [x + c * y for x, y in zip(coeffs, row[width:])]
-    if any(v):
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(k)]
+                         for i, row in enumerate(basis)])
+    inside = sum(1 for p in pivots if p < width)  # pivots increase
+    v = reduce_against(list(vector) + [0] * k, rows[:inside], pivots[:inside])
+    if any(v[:width]):
         return None
-    return coeffs
+    return [-Fraction(c) for c in v[width:]]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -48,6 +48,29 @@ def scalar_text(value) -> str:
     return str(v)
 
 
+def box_modes(n: int, radius: int) -> list[Mode]:
+    """All torus modes with max norm <= radius, lexicographic order."""
+    modes: list[Mode] = [()]
+    for _ in range(n):
+        modes = [m + (e,) for m in modes for e in range(-radius, radius + 1)]
+    return modes
+
+
+def affine_modes(n: int, max_degree: int) -> list[Mode]:
+    """All exponents with total degree <= max_degree, lexicographic order."""
+    out = []
+
+    def rec(prefix: tuple[int, ...], budget: int) -> None:
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for e in range(budget + 1):
+            rec(prefix + (e,), budget - e)
+
+    rec((), max_degree)
+    return sorted(out)
+
+
 def _check_mode(n: int, model: str, mode: Mode) -> Mode:
     mode = tuple(mode)
     if len(mode) != n:
@@ -218,13 +241,3 @@ class RingElement:
             else:
                 parts.append(f"{scalar_text(c)} * {mono}")
         return " + ".join(parts)
-
-
-def ring_mul(f: RingElement, g: RingElement) -> RingElement:
-    """Exact product in the coefficient ring."""
-    return f * g
-
-
-def derive(j: int, f: RingElement) -> RingElement:
-    """Frame derivation as a free function (1-based index)."""
-    return f.derive(j)

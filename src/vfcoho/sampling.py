@@ -7,7 +7,9 @@ count fits the configured budget; otherwise it draws a uniform seeded
 sample of exactly `budget` tuples.  Random tuples on top of that are
 small rational combinations of basis fields, so a residual that is not
 identically zero is caught with certainty at any point where it does not
-vanish.
+vanish.  `seeded_cases` yields those tuples and `run_check` evaluates one
+exact residual per tuple, stopping at the first nonzero one; every
+tuples-plus-samples check in the package runs through these two.
 
 The generator is Python's Mersenne Twister (`random.Random`), which is
 stable across platforms; per-check seeds are derived from the base seed
@@ -18,41 +20,21 @@ samples.
 from __future__ import annotations
 
 import random
+import time
 import zlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Iterator, Sequence
+from operator import methodcaller
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .rings import AFFINE, TORUS, Mode, RingElement
 from .fields import VectorField
+from .reports import CheckReport
+from .rings import TORUS, Mode, RingElement, affine_modes, box_modes
 
 
 def derive_seed(base: int, name: str) -> int:
     return (base * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) % (2 ** 63)
-
-
-def box_modes(n: int, radius: int) -> list[Mode]:
-    """All torus modes with max norm <= radius, lexicographic order."""
-    modes: list[Mode] = [()]
-    for _ in range(n):
-        modes = [m + (e,) for m in modes for e in range(-radius, radius + 1)]
-    return modes
-
-
-def affine_modes(n: int, max_degree: int) -> list[Mode]:
-    """All exponents with total degree <= max_degree, lexicographic order."""
-    out = []
-
-    def rec(prefix: tuple[int, ...], budget: int) -> None:
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), budget - e)
-
-    rec((), max_degree)
-    return sorted(out)
 
 
 def model_modes(model: str, n: int, radius: int) -> list[Mode]:
@@ -114,5 +96,54 @@ def index_tuples(count: int, arity: int, budget: int,
     return sample(), budget, False
 
 
-def elements_text(elements: Sequence) -> list[str]:
-    return [e.text() for e in elements]
+def seeded_cases(rng: random.Random, elements: Sequence, arity: int, budget: int,
+                 samples: int, random_element: Callable | None
+                 ) -> tuple[Iterator[tuple], bool]:
+    """Cases of a check: basis `arity`-tuples of `elements` (all of them, or
+    a seeded sample of `budget`), then `samples` tuples of
+    `random_element(rng)` draws.  Returns (cases, exhaustive_flag).
+
+    Cases are drawn lazily and in that order, so the random tuples always
+    follow the basis sample in the generator's stream.
+    """
+    tuples, _total, exhaustive = index_tuples(len(elements), arity, budget, rng)
+    basis = (tuple(elements[i] for i in idx) for idx in tuples)
+    drawn = (tuple(random_element(rng) for _ in range(arity))
+             for _ in range(samples))
+    return chain(basis, drawn), exhaustive
+
+
+def value_is_zero(v) -> bool:
+    if hasattr(v, "is_zero"):
+        return v.is_zero()
+    return not v
+
+
+def value_text(v) -> str:
+    if hasattr(v, "text"):
+        return v.text()
+    return str(Fraction(v))
+
+
+def run_check(name: str, params: dict, cases: Iterable[tuple], exhaustive: bool,
+              residual: Callable, text: Callable = methodcaller("text")) -> CheckReport:
+    """Evaluate `residual(*case)` once per case and stop at the first
+    nonzero value, whose case and residual become the witness
+    {"args": [...], "residual": ...}.  A check that saw no case fails:
+    it decided nothing.
+    """
+    start = time.perf_counter()
+    params = dict(params, exhaustive=exhaustive)
+    count = 0
+    for case in cases:
+        count += 1
+        r = residual(*case)
+        if not value_is_zero(r):
+            return CheckReport(
+                name=name, params=params, status="fail", tuples=count,
+                witness={"args": [text(a) for a in case], "residual": value_text(r)},
+                wall_ms=(time.perf_counter() - start) * 1000.0)
+    return CheckReport(
+        name=name, params=params, status="pass" if count else "fail", tuples=count,
+        witness=None if count else {"reason": "no tuples checked"},
+        wall_ms=(time.perf_counter() - start) * 1000.0)

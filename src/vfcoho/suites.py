@@ -26,19 +26,18 @@ from .cocycles import (closed_pair_cocycle, contraction_cocycle,
                        scalar_trace_cocycle, wedge_pair_cocycle)
 from .cohomology import (Cochain, FiniteLieAlgebra, GaugeContext,
                          gl_defining_rep, is_cocycle, is_equivariant,
-                         pullback_by_crossed_hom, sl2_defining_rep,
-                         value_is_zero, value_text)
+                         pullback_by_crossed_hom, sl2_defining_rep)
 from .extensions import (ExtensionSetup, antisymmetry_check, jacobi_check,
                          killing_form, planted_noncocycle_twist, trace_form,
                          virasoro_twist)
-from .fields import (VectorField, check_crossed_hom, check_maurer_cartan,
-                     crossed_hom_residual, divergence, neg_jacobian)
+from .fields import (VectorField, check_maurer_cartan, crossed_hom_residual,
+                     divergence, neg_jacobian)
 from .forms import (FormClass, PForm, de_rham_dims, ext_d, lie_derive,
                     reduce_mod_exact)
 from .reports import CheckReport, RunConfig
 from .rings import AFFINE, TORUS, RingElement
-from .sampling import (basis_fields, derive_seed, index_tuples, model_modes,
-                       random_field, random_scalar)
+from .sampling import (basis_fields, derive_seed, model_modes, random_field,
+                       random_scalar, run_check, seeded_cases)
 
 SUITE_NAMES = ("crossed-hom", "cocycles", "relations", "gauge", "formal",
                "extensions")
@@ -66,53 +65,31 @@ def check_identity(name: str, elements, arity: int, residual_fn, cfg: RunConfig,
                    random_element=None, params: dict | None = None,
                    budget: int | None = None) -> CheckReport:
     """Exact identity residual_fn(args) = 0 over basis tuples plus samples."""
-    start = time.perf_counter()
     rng = random.Random(derive_seed(cfg.seed, name))
     budget = budget if budget is not None else _tuple_budget(cfg, arity)
     params = dict(params or {})
     params.update({"arity": arity, "basis_size": len(elements),
                    "seed": cfg.seed, "samples": cfg.samples})
-    count = 0
-
-    def fail(args, residual) -> CheckReport:
-        return CheckReport(
-            name=name, params=params, status="fail", tuples=count,
-            witness={"args": [a.text() for a in args],
-                     "residual": value_text(residual)},
-            wall_ms=(time.perf_counter() - start) * 1000.0)
-
-    tuples_iter, _total, exhaustive = index_tuples(len(elements), arity, budget, rng)
-    params["exhaustive"] = exhaustive
-    for idx in tuples_iter:
-        args = tuple(elements[i] for i in idx)
-        count += 1
-        r = residual_fn(*args)
-        if not value_is_zero(r):
-            return fail(args, r)
-    if random_element is not None:
-        for _ in range(cfg.samples):
-            args = tuple(random_element(rng) for _ in range(arity))
-            count += 1
-            r = residual_fn(*args)
-            if not value_is_zero(r):
-                return fail(args, r)
-    return CheckReport(name=name, params=params, status="pass", tuples=count,
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
+    samples = cfg.samples if random_element is not None else 0
+    cases, exhaustive = seeded_cases(rng, elements, arity, budget, samples,
+                                     random_element)
+    return run_check(name, params, cases, exhaustive, residual_fn)
 
 
 # -- crossed-hom ---------------------------------------------------------------
 
 
-def _field_pairs(model: str, cfg: RunConfig, label: str):
-    fields_list = basis_fields(model, cfg.dim, cfg.radius)
-    rng = random.Random(derive_seed(cfg.seed, label))
-    pair_iter, _total, exhaustive = index_tuples(
-        len(fields_list), 2, cfg.max_tuples, rng)
-    pairs = [(fields_list[i], fields_list[j]) for i, j in pair_iter]
-    pairs += [(random_field(rng, model, cfg.dim, cfg.radius),
-               random_field(rng, model, cfg.dim, cfg.radius))
-              for _ in range(cfg.samples)]
-    return pairs, exhaustive
+def _crossed_hom(cfg: RunConfig, model: str, name: str) -> CheckReport:
+    """theta([X,Y]) = [theta X, theta Y] + X.theta(Y) - Y.theta(X) for
+    theta = neg_jacobian, on basis pairs plus random pairs."""
+    rng = random.Random(derive_seed(cfg.seed, name))
+    cases, exhaustive = seeded_cases(
+        rng, basis_fields(model, cfg.dim, cfg.radius), 2, cfg.max_tuples,
+        cfg.samples, lambda rng: random_field(rng, model, cfg.dim, cfg.radius))
+    return run_check(name, {"dim": cfg.dim, "radius": cfg.radius,
+                            "seed": cfg.seed, "samples": cfg.samples},
+                     cases, exhaustive,
+                     lambda x, y: crossed_hom_residual(neg_jacobian, x, y))
 
 
 def _kernel_check(model: str, cfg: RunConfig) -> CheckReport:
@@ -173,11 +150,7 @@ def _sign_discrimination(model: str, cfg: RunConfig) -> CheckReport:
 def suite_crossed_hom(cfg: RunConfig) -> list[CheckReport]:
     reports = []
     for model in (TORUS, AFFINE):
-        pairs, exhaustive = _field_pairs(model, cfg, f"crossed-hom:{model}")
-        reports.append(check_crossed_hom(
-            neg_jacobian, pairs, name=f"crossed-hom:{model}",
-            params={"dim": cfg.dim, "radius": cfg.radius, "seed": cfg.seed,
-                    "samples": cfg.samples, "exhaustive": exhaustive}))
+        reports.append(_crossed_hom(cfg, model, f"crossed-hom:{model}"))
         reports.append(_kernel_check(model, cfg))
         if cfg.dim >= 2:
             reports.append(_sign_discrimination(model, cfg))
@@ -400,11 +373,7 @@ def suite_relations(cfg: RunConfig) -> list[CheckReport]:
         "relation:trace1-is-minus-div", fields_list, 1, collapse, cfg,
         random_element=rnd_field, params={"dim": n, "model": model}))
 
-    pairs, exhaustive = _field_pairs(model, cfg, "relation:crossed-hom")
-    reports.append(check_crossed_hom(
-        neg_jacobian, pairs, name="relation:crossed-hom",
-        params={"dim": n, "radius": cfg.radius, "seed": cfg.seed,
-                "samples": cfg.samples, "exhaustive": exhaustive}))
+    reports.append(_crossed_hom(cfg, model, "relation:crossed-hom"))
 
     kappas = [PForm.kappa(n, model, i) for i in range(1, n + 1)]
 
@@ -497,11 +466,7 @@ def suite_gauge(cfg: RunConfig) -> list[CheckReport]:
 def suite_formal(cfg: RunConfig) -> list[CheckReport]:
     n = cfg.dim
     reports = []
-    pairs, exhaustive = _field_pairs(AFFINE, cfg, "formal:crossed-hom")
-    reports.append(check_crossed_hom(
-        neg_jacobian, pairs, name="formal:crossed-hom",
-        params={"dim": n, "radius": cfg.radius, "seed": cfg.seed,
-                "samples": cfg.samples, "exhaustive": exhaustive}))
+    reports.append(_crossed_hom(cfg, AFFINE, "formal:crossed-hom"))
     for k in (1, 2):
         reports.append(_cocycle(cfg, scalar_trace_cocycle(k, n, AFFINE),
                                 f"formal:cocycle:scalar_trace[{k}]"))

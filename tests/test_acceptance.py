@@ -20,7 +20,7 @@ from vfcoho import (TORUS, PForm, RingElement, RunConfig, betti_numbers,
 from vfcoho.cocycles import divfree_basis, divfree_witness_search
 from vfcoho.forms import is_exact
 from vfcoho.reports import strip_timing, dumps
-from vfcoho.sampling import box_modes
+from vfcoho.rings import box_modes
 from vfcoho.suites import all_passed, flatten, run_suites
 from vfcoho.weil import max_degree
 

@@ -3,6 +3,9 @@
 import json
 import subprocess
 import sys
+from importlib.resources import files
+
+import pytest
 
 from vfcoho.reports import strip_timing
 
@@ -31,6 +34,40 @@ def test_verify_unknown_suite_is_a_usage_error():
 
 def test_dimension_must_be_positive():
     assert run_cli("verify", "crossed-hom", "--dim", "0").returncode == 2
+
+
+@pytest.mark.parametrize("flags, env", [
+    (("--max-tuples", "0"), None),
+    (("--samples", "-3"), None),
+    ((), {"VFCOHO_MAX_TUPLES": "0"}),
+    ((), {"VFCOHO_SAMPLES": "-3"}),
+], ids=["max-tuples-flag", "samples-flag", "max-tuples-env", "samples-env"])
+def test_budgets_below_their_minimum_are_usage_errors(flags, env):
+    out = run_cli("verify", "crossed-hom", "--dim", "1", *flags, env_extra=env)
+    assert out.returncode == 2
+    assert "must be >=" in out.stderr
+
+
+def _schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(files("vfcoho").joinpath("report_schema.json").read_text())
+    return jsonschema.Draft7Validator(schema)
+
+
+@pytest.mark.parametrize("args, code", [
+    (("verify", "crossed-hom", "--dim", "1", "--format", "json"), 0),
+    (("report", "--suites", "crossed-hom", "relations", "--dim", "1"), 0),
+    (("report", "--suites", "extensions", "--dim", "1", "--radius", "1",
+      "--planted"), 1),
+    (("table", "weil", "--dim", "2", "--format", "json"), 0),
+    (("table", "paper-dims", "--dim", "2", "--format", "json"), 0),
+], ids=["verify", "report", "report-planted", "table-weil", "table-paper-dims"])
+def test_documents_validate_against_the_shipped_schema(args, code):
+    out = run_cli(*args)
+    assert out.returncode == code
+    doc = json.loads(out.stdout)
+    errors = [e.message for e in _schema_validator().iter_errors(doc)]
+    assert errors == []
 
 
 def test_table_weil_golden_rows():

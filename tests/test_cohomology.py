@@ -5,12 +5,18 @@ from math import comb
 
 import pytest
 
-from vfcoho import (TORUS, Cochain, FiniteLieAlgebra, GaugeContext,
-                    MismatchError, VectorField, betti_numbers,
-                    cochain_differential, is_cocycle, neg_jacobian)
+from vfcoho import (AFFINE, TORUS, Cochain, ExtensionSetup, FiniteLieAlgebra,
+                    GaugeContext, MismatchError, RingElement, RunConfig,
+                    VectorField, betti_numbers, cochain_differential,
+                    divergence, is_cocycle, neg_jacobian)
 from vfcoho.cohomology import (ce_matrix, gl_defining_rep, is_equivariant,
                                matrix_to_gauge, sl2_defining_rep, validate_rep)
+from vfcoho.extensions import (antisymmetry_check, jacobi_check,
+                               planted_noncocycle_twist, trace_form)
+from vfcoho.fields import crossed_hom_residual
 from vfcoho.linalg import mat_mul
+from vfcoho.sampling import basis_fields, run_check
+from vfcoho.suites import check_identity
 
 
 def test_abelian_betti_is_binomial():
@@ -51,8 +57,6 @@ def test_rep_validation_catches_wrong_commutators():
 
 def test_is_cocycle_flags_a_non_cocycle_with_witness():
     # contraction against t^(0,1) k1, a non-closed 1-form, is not a cocycle
-    from vfcoho import RingElement
-
     weight = RingElement.monomial(2, TORUS, (0, 1))
 
     def ev(x):
@@ -60,8 +64,60 @@ def test_is_cocycle_flags_a_non_cocycle_with_witness():
 
     bad = Cochain("weighted-component", 1, ev, "fields", "ring", 2, TORUS)
     report = is_cocycle(bad, radius=1, samples=10, max_tuples=200)
-    assert not report.passed()
+    assert not report.passed() and report.tuples >= 1
     assert set(report.witness) == {"args", "residual"}
+
+
+def _non_equivariant_gauge_cochain():
+    # u |-> t^(0,1) u_e: E_2 differentiates the weight, so X.phi != phi(X.u)
+    ctx = GaugeContext(FiniteLieAlgebra.sl2(), sl2_defining_rep(), 2, TORUS)
+    weight = RingElement.monomial(2, TORUS, (0, 1))
+    bad = Cochain("weighted-e", 1, lambda u: weight * u.coeffs[0], "gauge",
+                  "ring", 2, TORUS, ctx=ctx)
+    return is_equivariant(bad, radius=1, samples=5, max_tuples=20)
+
+
+def _planted_setup():
+    ctx = GaugeContext(FiniteLieAlgebra.gl(1), gl_defining_rep(1), 2, TORUS)
+    return ExtensionSetup(ctx, trace_form(ctx.lie, gl_defining_rep(1)),
+                          planted_noncocycle_twist(2, TORUS))
+
+
+def _divergence_as_identity():
+    return check_identity("divergence-vanishes", basis_fields(TORUS, 2, 1), 1,
+                          divergence, RunConfig(dim=2, radius=1, samples=5))
+
+
+def _sign_flipped_crossed_hom():
+    def flipped(x):
+        return neg_jacobian(x).scale(-1)
+
+    x = VectorField.basis(2, AFFINE, (0, 1), 1)
+    y = VectorField.basis(2, AFFINE, (1, 0), 2)
+    return run_check("flipped-crossed-hom", {}, [(x, y)], True,
+                     lambda a, b: crossed_hom_residual(flipped, a, b))
+
+
+@pytest.mark.parametrize("make_report", [
+    _non_equivariant_gauge_cochain,
+    lambda: jacobi_check(_planted_setup(), radius=1, samples=20, max_tuples=50),
+    lambda: antisymmetry_check(_planted_setup(), radius=1, samples=20,
+                               max_tuples=50),
+    _divergence_as_identity,
+    _sign_flipped_crossed_hom,
+], ids=["is_equivariant", "jacobi_check", "antisymmetry_check",
+        "check_identity", "run_check-crossed-hom"])
+def test_every_check_fails_on_a_planted_defect_with_one_witness_shape(make_report):
+    report = make_report()
+    assert not report.passed() and report.tuples >= 1
+    assert set(report.witness) == {"args", "residual"}
+    assert report.witness["residual"] != "0"
+
+
+def test_a_check_that_saw_no_tuple_fails():
+    report = run_check("empty", {}, [], True, lambda *args: 1)
+    assert not report.passed() and report.tuples == 0
+    assert report.witness == {"reason": "no tuples checked"}
 
 
 def test_contraction_against_closed_coframe_is_a_cocycle():

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from vfcoho import (TORUS, ExtensionElement, ExtensionSetup, FiniteLieAlgebra,
-                    GaugeContext, MismatchError, VectorField, killing_form,
-                    reduce_mod_exact, virasoro_twist)
+from vfcoho import (TORUS, Cochain, ExtensionElement, ExtensionSetup,
+                    FiniteLieAlgebra, GaugeContext, MismatchError, VectorField,
+                    killing_form, reduce_mod_exact, virasoro_twist)
 from vfcoho.cohomology import gl_defining_rep, sl2_defining_rep
 from vfcoho.extensions import (antisymmetry_check, extension_bracket,
-                               field_twist, jacobi_check, jacobi_residual,
+                               jacobi_check, jacobi_residual,
                                planted_noncocycle_twist, trace_form)
 from vfcoho.forms import PForm
 
@@ -106,11 +106,12 @@ def test_planted_twist_fails_jacobi_with_witness():
     assert "residual" in report.witness
 
 
-def test_field_twist_validates_shape():
+def test_extension_setup_rejects_a_degree_one_twist():
+    wrong = Cochain("wrong", 1, lambda x: None, "fields", "class", 2, TORUS,
+                    value_degree=1)
+    ctx = GaugeContext(FiniteLieAlgebra.sl2(), sl2_defining_rep(), 2, TORUS)
     with pytest.raises(MismatchError):
-        field_twist(planted_noncocycle_twist(2, TORUS).__class__(
-            "wrong", 1, lambda x: None, "fields", "class", 2, TORUS,
-            value_degree=1))
+        ExtensionSetup(ctx, killing_form(ctx.lie), wrong)
 
 
 def test_extension_bracket_antisymmetry_randomised():
