@@ -115,6 +115,10 @@ class ExtensionSetup:
 
     def pairing(self, g1: GaugeElement, g2: GaugeElement) -> FormClass:
         """Central term of a gauge-gauge bracket: B(x_a, x_b) [f' df]."""
+        return reduce_mod_exact(self._pairing_form(g1, g2))
+
+    def _pairing_form(self, g1: GaugeElement, g2: GaugeElement) -> PForm:
+        """The unreduced 1-form sum of B(x_a, x_b) f' df behind `pairing`."""
         total = PForm.zero(self.ctx.n, self.ctx.model, 1)
         for a, fa in enumerate(g1.coeffs):
             if fa.is_zero():
@@ -127,7 +131,7 @@ class ExtensionSetup:
                 if dfa is None:
                     dfa = ext_d(PForm.from_ring(fa))
                 total = total + dfa.mul_ring(fb).scale(coeff)
-        return reduce_mod_exact(total)
+        return total
 
 
 class ExtensionElement:
@@ -169,17 +173,19 @@ class ExtensionElement:
 
 
 def extension_bracket(a: ExtensionElement, b: ExtensionElement) -> ExtensionElement:
+    """The bracket of the module docstring.  Its central terms are summed as
+    forms and reduced once: the reduction is linear and idempotent."""
     setup = a.setup
     ctx = setup.ctx
     gauge = (ctx.bracket(a.gauge, b.gauge) + ctx.outer(a.field, b.gauge)
              - ctx.outer(b.field, a.gauge))
-    central = (setup.pairing(a.gauge, b.gauge)
-               + reduce_mod_exact(lie_derive(a.field, b.central.rep))
-               - reduce_mod_exact(lie_derive(b.field, a.central.rep)))
+    central = (setup._pairing_form(a.gauge, b.gauge)
+               + lie_derive(a.field, b.central.rep)
+               - lie_derive(b.field, a.central.rep))
     if setup.tau is not None:
-        central = central + setup.tau.evaluate(a.field, b.field)
+        central = central + setup.tau.evaluate(a.field, b.field).rep
     field = a.field.bracket(b.field)
-    return ExtensionElement(setup, gauge, central, field)
+    return ExtensionElement(setup, gauge, reduce_mod_exact(central), field)
 
 
 def jacobi_residual(a: ExtensionElement, b: ExtensionElement,

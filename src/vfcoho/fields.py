@@ -109,10 +109,6 @@ class VectorField:
         return " + ".join(parts) if parts else "0"
 
 
-def bracket(x: VectorField, y: VectorField) -> VectorField:
-    return x.bracket(y)
-
-
 def field_action(x: VectorField, f: RingElement) -> RingElement:
     """Derivation action X.f = sum_i f_i E_i(f)."""
     acc = RingElement.zero(x.n, x.model)
@@ -129,6 +125,9 @@ class MatrixFunction:
     storage is what keeps the trace cocycles cheap.  `size` is the matrix
     dimension; it defaults to the ring dimension `n` (the Jacobian case)
     but may differ, e.g. for a representation of a different rank.
+
+    The constructor checks every entry; sums, products and scalings of
+    valid matrices go through `_trusted` and are not checked again.
     """
 
     __slots__ = ("n", "model", "size", "entries")
@@ -152,6 +151,18 @@ class MatrixFunction:
         self.entries = clean
 
     @classmethod
+    def _trusted(cls, n: int, model: str, entries: MatrixEntries,
+                 size: int) -> "MatrixFunction":
+        """Wrap in-range, nonzero entries over this ring, built by arithmetic
+        on valid matrices."""
+        self = object.__new__(cls)
+        self.n = n
+        self.model = model
+        self.size = size
+        self.entries = entries
+        return self
+
+    @classmethod
     def zero(cls, n: int, model: str) -> "MatrixFunction":
         return cls(n, model)
 
@@ -169,7 +180,12 @@ class MatrixFunction:
 
     __hash__ = None
 
+    def _compatible(self, other: "MatrixFunction") -> None:
+        if (self.n, self.model, self.size) != (other.n, other.model, other.size):
+            raise MismatchError("mixed models, dimensions or sizes")
+
     def __add__(self, other: "MatrixFunction") -> "MatrixFunction":
+        self._compatible(other)
         out = dict(self.entries)
         for key, f in other.entries.items():
             s = out.get(key)
@@ -178,22 +194,24 @@ class MatrixFunction:
                 out.pop(key, None)
             else:
                 out[key] = total
-        return MatrixFunction(self.n, self.model, out, size=self.size)
+        return MatrixFunction._trusted(self.n, self.model, out, self.size)
 
     def __sub__(self, other: "MatrixFunction") -> "MatrixFunction":
         return self + other.scale(-1)
 
     def scale(self, c) -> "MatrixFunction":
-        return MatrixFunction(self.n, self.model,
-                              {k: c * f for k, f in self.entries.items()},
-                              size=self.size)
+        c = as_scalar(c)
+        entries = {k: f * c for k, f in self.entries.items()} if c else {}
+        return MatrixFunction._trusted(self.n, self.model, entries, self.size)
 
     def __matmul__(self, other: "MatrixFunction") -> "MatrixFunction":
+        self._compatible(other)
+        rows: dict[int, list[tuple[int, RingElement]]] = {}
+        for (k, j), g in other.entries.items():
+            rows.setdefault(k, []).append((j, g))
         out: MatrixEntries = {}
         for (i, k), f in self.entries.items():
-            for (k2, j), g in other.entries.items():
-                if k != k2:
-                    continue
+            for j, g in rows.get(k, ()):
                 prod = f * g
                 if prod.is_zero():
                     continue
@@ -203,7 +221,7 @@ class MatrixFunction:
                     out.pop((i, j), None)
                 else:
                     out[(i, j)] = total
-        return MatrixFunction(self.n, self.model, out, size=self.size)
+        return MatrixFunction._trusted(self.n, self.model, out, self.size)
 
     def commutator(self, other: "MatrixFunction") -> "MatrixFunction":
         return (self @ other) - (other @ self)
@@ -237,7 +255,7 @@ def neg_jacobian(x: VectorField) -> MatrixFunction:
             d = f.derive(j)
             if not d.is_zero():
                 entries[(i, j - 1)] = -d
-    return MatrixFunction(x.n, x.model, entries)
+    return MatrixFunction._trusted(x.n, x.model, entries, x.n)
 
 
 def divergence(x: VectorField) -> RingElement:

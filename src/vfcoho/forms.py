@@ -19,6 +19,12 @@ computed by `reduce_mod_exact`:
 
 `FormClass` wraps a reduced representative; equality of classes is
 equality of representatives.
+
+As in `rings`, the public constructors (`PForm(...)`, `monomial`, `kappa`)
+validate every scalar, mode and coframe subset, and results built by
+arithmetic on valid forms are trusted: they go through `PForm._trusted`,
+which keeps the normal form (no zero coefficient, integral Fractions
+stored as `int`) without checking modes and subsets again.
 """
 
 from __future__ import annotations
@@ -27,11 +33,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import echelon_rank, in_span, reduce_against, rref
 from .rings import (AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement,
-                    affine_modes, as_scalar, box_modes, scalar_text)
+                    _check_mode, _demote, affine_modes, as_scalar, box_modes,
+                    scalar_text)
 
 Subset = tuple[int, ...]
 Key = tuple[Mode, Subset]
@@ -81,18 +89,29 @@ class PForm:
             subset = _check_subset(n, subset)
             if len(subset) != degree:
                 raise MismatchError(f"term {subset} does not have degree {degree}")
-            mode = tuple(mode)
-            if len(mode) != n:
-                raise MismatchError(f"mode {mode} has wrong length")
-            if model == AFFINE and any(e < 0 for e in mode):
-                raise MismatchError(f"affine exponents must be nonnegative, got {mode}")
-            clean[(mode, subset)] = c
+            clean[(_check_mode(n, model, mode), subset)] = c
         if degree == n + 1 and clean:
             raise MismatchError("forms of degree n+1 must be zero")
         self.n = n
         self.model = model
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, model: str, degree: int,
+                 terms: dict[Key, int | Fraction]) -> "PForm":
+        """Wrap terms that arithmetic built from valid forms.
+
+        The caller guarantees valid keys of this degree and no zero
+        coefficient, and hands over `terms`; integral Fractions are
+        demoted here.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.model = model
+        self.degree = degree
+        self.terms = _demote(terms)
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -112,12 +131,13 @@ class PForm:
 
     @classmethod
     def from_ring(cls, f: RingElement) -> "PForm":
-        return cls(f.n, f.model, 0, {(m, ()): c for m, c in f.terms.items()})
+        return cls._trusted(f.n, f.model, 0, {(m, ()): c for m, c in f.terms.items()})
 
     def as_ring(self) -> RingElement:
         if self.degree != 0:
             raise MismatchError("only 0-forms convert to ring elements")
-        return RingElement(self.n, self.model, {m: c for (m, _), c in self.terms.items()})
+        return RingElement._trusted(self.n, self.model,
+                                    {m: c for (m, _), c in self.terms.items()})
 
     # -- structure ---------------------------------------------------------
 
@@ -156,11 +176,11 @@ class PForm:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return PForm(self.n, self.model, self.degree, out)
+        return PForm._trusted(self.n, self.model, self.degree, out)
 
     def __neg__(self) -> "PForm":
-        return PForm(self.n, self.model, self.degree,
-                     {k: -c for k, c in self.terms.items()})
+        return PForm._trusted(self.n, self.model, self.degree,
+                              {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "PForm") -> "PForm":
         if not isinstance(other, PForm):
@@ -170,9 +190,9 @@ class PForm:
     def scale(self, c) -> "PForm":
         c = as_scalar(c)
         if not c:
-            return PForm.zero(self.n, self.model, self.degree)
-        return PForm(self.n, self.model, self.degree,
-                     {k: c * v for k, v in self.terms.items()})
+            return PForm._trusted(self.n, self.model, self.degree, {})
+        return PForm._trusted(self.n, self.model, self.degree,
+                              {k: c * v for k, v in self.terms.items()})
 
     def mul_ring(self, f: RingElement) -> "PForm":
         """Multiply by a function (degree unchanged)."""
@@ -181,19 +201,19 @@ class PForm:
         out: dict[Key, int | Fraction] = {}
         for (mode, subset), c in self.terms.items():
             for fmode, fc in f.terms.items():
-                key = (tuple(a + b for a, b in zip(mode, fmode)), subset)
+                key = (tuple(map(add, mode, fmode)), subset)
                 s = out.get(key, 0) + c * fc
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return PForm(self.n, self.model, self.degree, out)
+        return PForm._trusted(self.n, self.model, self.degree, out)
 
     def wedge(self, other: "PForm") -> "PForm":
         self._compatible(other)
         deg = self.degree + other.degree
         if deg > self.n:
-            return PForm.zero(self.n, self.model, min(deg, self.n + 1))
+            return PForm._trusted(self.n, self.model, min(deg, self.n + 1), {})
         out: dict[Key, int | Fraction] = {}
         for (m1, s1), c1 in self.terms.items():
             for (m2, s2), c2 in other.terms.items():
@@ -201,13 +221,13 @@ class PForm:
                 if merged is None:
                     continue
                 sign, subset = merged
-                key = (tuple(a + b for a, b in zip(m1, m2)), subset)
+                key = (tuple(map(add, m1, m2)), subset)
                 s = out.get(key, 0) + sign * c1 * c2
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return PForm(self.n, self.model, deg, out)
+        return PForm._trusted(self.n, self.model, deg, out)
 
     # -- serialization -------------------------------------------------------
 
@@ -241,6 +261,8 @@ def wedge(a: PForm, b: PForm) -> PForm:
 def ext_d(w: PForm) -> PForm:
     """Exterior differential.  The coframe is closed, so
     d(f kappa_I) = sum_j (E_j f) kappa_j ^ kappa_I."""
+    if w.degree > w.n:
+        raise MismatchError(f"form degree {w.degree + 1} out of range for dimension {w.n}")
     out: dict[Key, int | Fraction] = {}
     torus = w.model == TORUS
     for (mode, subset), c in w.terms.items():
@@ -257,7 +279,7 @@ def ext_d(w: PForm) -> PForm:
                 out[key] = s
             else:
                 out.pop(key, None)
-    return PForm(w.n, w.model, w.degree + 1, out)
+    return PForm._trusted(w.n, w.model, w.degree + 1, out)
 
 
 def contract(field, w: PForm) -> PForm:
@@ -267,6 +289,8 @@ def contract(field, w: PForm) -> PForm:
     """
     if w.degree == 0:
         raise MismatchError("cannot contract a 0-form")
+    if field.n != w.n or field.model != w.model:
+        raise MismatchError("mixed models or dimensions")
     coeffs: Sequence[RingElement] = field.coeffs
     partial: dict[Key, int | Fraction] = {}
     for (mode, subset), c in w.terms.items():
@@ -277,13 +301,13 @@ def contract(field, w: PForm) -> PForm:
             sign = (-1) ** pos
             rest = subset[:pos] + subset[pos + 1:]
             for fmode, fc in f.terms.items():
-                key = (tuple(a + b for a, b in zip(mode, fmode)), rest)
+                key = (tuple(map(add, mode, fmode)), rest)
                 s = partial.get(key, 0) + sign * c * fc
                 if s:
                     partial[key] = s
                 else:
                     partial.pop(key, None)
-    return PForm(w.n, w.model, w.degree - 1, partial)
+    return PForm._trusted(w.n, w.model, w.degree - 1, partial)
 
 
 def lie_derive(field, w: PForm) -> PForm:
@@ -333,7 +357,7 @@ def _reduce_torus(w: PForm) -> PForm:
                 continue
             jsign, merged = ins
             put((mode, merged), -sign * jsign * Fraction(e, mp) * c)
-    return PForm(w.n, w.model, w.degree, out)
+    return PForm._trusted(w.n, w.model, w.degree, out)
 
 
 def _affine_weight(key: Key) -> int:
@@ -389,7 +413,7 @@ def _reduce_affine(w: PForm) -> PForm:
         for key, c in zip(basis, vec):
             if c:
                 out[key] = c
-    return PForm(w.n, w.model, w.degree, out)
+    return PForm._trusted(w.n, w.model, w.degree, out)
 
 
 def reduce_mod_exact(w: PForm) -> "FormClass":

@@ -9,6 +9,14 @@ against this one class, so the two geometries share all downstream code.
 Scalars are `int` or `fractions.Fraction`.  Floats are rejected outright:
 every identity this package checks is decided exactly.
 
+Validation happens at the public boundary.  The public constructors
+(`RingElement(...)`, `one`, `constant`, `monomial`) check every scalar and
+mode.  Results of arithmetic on elements that already passed those checks
+are trusted: they go through `RingElement._trusted`, which sets the slots
+without checking again.  It keeps the normal form the public constructor
+gives, with no zero coefficient and every integral `Fraction` stored as an
+`int`, so equal elements always have equal `terms`.
+
 >>> f = RingElement.monomial(2, TORUS, (1, 0)) + RingElement.monomial(2, TORUS, (0, -1))
 >>> print(f.text())
 t^(0,-1) + t^(1,0)
@@ -19,6 +27,7 @@ t^(0,-1) + t^(1,0)
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 Mode = tuple[int, ...]
@@ -75,11 +84,20 @@ def _check_mode(n: int, model: str, mode: Mode) -> Mode:
     mode = tuple(mode)
     if len(mode) != n:
         raise MismatchError(f"mode {mode} has length {len(mode)}, expected {n}")
-    if not all(isinstance(e, int) for e in mode):
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in mode):
         raise TypeError(f"mode entries must be int, got {mode}")
     if model == AFFINE and any(e < 0 for e in mode):
         raise MismatchError(f"affine exponents must be nonnegative, got {mode}")
     return mode
+
+
+def _demote(terms: dict) -> dict:
+    """Store every integral Fraction among the values of `terms` as an int,
+    in place, as `as_scalar` does; Fraction arithmetic keeps the type."""
+    for key, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[key] = c.numerator
+    return terms
 
 
 class RingElement:
@@ -105,11 +123,24 @@ class RingElement:
         self.model = model
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, n: int, model: str, terms: dict[Mode, int | Fraction]) -> "RingElement":
+        """Wrap terms that arithmetic built from valid elements.
+
+        The caller guarantees valid modes and no zero coefficient, and hands
+        over `terms`; integral Fractions are demoted here.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.model = model
+        self.terms = _demote(terms)
+        return self
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, model: str) -> "RingElement":
-        return cls(n, model)
+        return cls._trusted(n, model, {})
 
     @classmethod
     def one(cls, n: int, model: str) -> "RingElement":
@@ -166,10 +197,10 @@ class RingElement:
                 out[mode] = s
             else:
                 out.pop(mode, None)
-        return RingElement(self.n, self.model, out)
+        return RingElement._trusted(self.n, self.model, out)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.n, self.model, {m: -c for m, c in self.terms.items()})
+        return RingElement._trusted(self.n, self.model, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
@@ -182,17 +213,17 @@ class RingElement:
             out: dict[Mode, int | Fraction] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    mode = tuple(a + b for a, b in zip(m1, m2))
+                    mode = tuple(map(add, m1, m2))
                     s = out.get(mode, 0) + c1 * c2
                     if s:
                         out[mode] = s
                     else:
                         out.pop(mode, None)
-            return RingElement(self.n, self.model, out)
+            return RingElement._trusted(self.n, self.model, out)
         c = as_scalar(other)
         if not c:
             return RingElement.zero(self.n, self.model)
-        return RingElement(self.n, self.model, {m: c * v for m, v in self.terms.items()})
+        return RingElement._trusted(self.n, self.model, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, other) -> "RingElement":
         return self.__mul__(other)
@@ -224,7 +255,7 @@ class RingElement:
                 out[target] = s
             else:
                 out.pop(target, None)
-        return RingElement(self.n, self.model, out)
+        return RingElement._trusted(self.n, self.model, out)
 
     # -- serialization -------------------------------------------------------
 

@@ -1,0 +1,134 @@
+"""Arithmetic results skip validation, so they must already be in the normal
+form the public constructors give: no zero coefficient, no zero matrix
+entry, and every integral Fraction stored as an int.  Each result below is
+rebuilt through its public constructor and must come back identical,
+coefficient types included.  The public constructors themselves must keep
+rejecting bad input."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vfcoho import (AFFINE, TORUS, MatrixFunction, MismatchError, PForm, RingElement,
+                    VectorField, ext_d, neg_jacobian, reduce_mod_exact)
+from vfcoho.forms import contract
+from vfcoho.rings import MODELS
+
+N = 3
+# Halves and thirds multiply and add up to whole numbers often, which is
+# where an integral Fraction would slip through.
+scalars = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=3))
+models = st.sampled_from(MODELS)
+
+
+def modes(model):
+    low = -1 if model == TORUS else 0
+    return st.tuples(*(st.integers(low, 1) for _ in range(N)))
+
+
+def rings(model):
+    return st.dictionaries(modes(model), scalars, max_size=3).map(
+        lambda terms: RingElement(N, model, terms))
+
+
+def forms(model, degree):
+    subsets = st.sampled_from(list(combinations(range(1, N + 1), degree)))
+    return st.dictionaries(st.tuples(modes(model), subsets), scalars, max_size=4).map(
+        lambda terms: PForm(N, model, degree, terms))
+
+
+def fields(model):
+    return st.lists(rings(model), min_size=N, max_size=N).map(VectorField)
+
+
+def matrices(model):
+    index = st.integers(0, N - 1)
+    return st.dictionaries(st.tuples(index, index), rings(model), max_size=4).map(
+        lambda entries: MatrixFunction(N, model, entries))
+
+
+def _coefficient_types(terms):
+    return {key: type(c) for key, c in terms.items()}
+
+
+def assert_normal(result):
+    if isinstance(result, RingElement):
+        again = RingElement(result.n, result.model, result.terms)
+    elif isinstance(result, PForm):
+        again = PForm(result.n, result.model, result.degree, result.terms)
+    else:
+        again = MatrixFunction(result.n, result.model, result.entries, size=result.size)
+        assert again == result
+        for f in result.entries.values():
+            assert_normal(f)
+        return
+    assert again == result
+    assert _coefficient_types(again.terms) == _coefficient_types(result.terms)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_ring_results_are_in_normal_form(data):
+    model = data.draw(models)
+    f, g = data.draw(rings(model)), data.draw(rings(model))
+    c = data.draw(scalars)
+    for result in (f + g, f - g, f - f, -f, f * g, f * c, c * f):
+        assert_normal(result)
+    for j in range(1, N + 1):
+        assert_normal(f.derive(j))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_form_results_are_in_normal_form(data):
+    model = data.draw(models)
+    p = data.draw(st.integers(0, N))
+    a, b = data.draw(forms(model, p)), data.draw(forms(model, p))
+    one = data.draw(forms(model, 1))
+    f, x = data.draw(rings(model)), data.draw(fields(model))
+    c = data.draw(scalars)
+    results = [a + b, a - b, a - a, -a, a.scale(c), a.mul_ring(f), a.wedge(one),
+               ext_d(a), reduce_mod_exact(a).rep, reduce_mod_exact(one.wedge(one)).rep,
+               PForm.from_ring(f)]
+    if p:
+        results.append(contract(x, a))
+    for result in results:
+        assert_normal(result)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_matrix_results_are_in_normal_form(data):
+    model = data.draw(models)
+    a, b = data.draw(matrices(model)), data.draw(matrices(model))
+    c, x = data.draw(scalars), data.draw(fields(model))
+    for result in (a + b, a - b, a - a, a @ b, a.scale(c), neg_jacobian(x)):
+        assert_normal(result)
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, Fraction(1, 2), True],
+                         ids=["fractional-float", "integral-float", "fraction", "bool"])
+@pytest.mark.parametrize("model", MODELS)
+def test_public_constructors_reject_non_integer_modes(entry, model):
+    with pytest.raises(TypeError):
+        RingElement.monomial(2, model, (entry, 0))
+    with pytest.raises(TypeError):
+        PForm.monomial(2, model, (entry, 0), (1,))
+    with pytest.raises(TypeError):
+        PForm(2, model, 1, {((0, entry), (2,)): 1})
+
+
+def test_matrix_constructor_rejects_bad_entries():
+    f = RingElement.one(2, TORUS)
+    with pytest.raises(MismatchError):
+        MatrixFunction(2, TORUS, {(0, 2): f})
+    with pytest.raises(MismatchError):
+        MatrixFunction(2, TORUS, {(-1, 0): f})
+    with pytest.raises(MismatchError):
+        MatrixFunction(2, TORUS, {(0, 0): RingElement.one(2, AFFINE)})
+    with pytest.raises(MismatchError):
+        MatrixFunction(2, TORUS, {(0, 0): RingElement.one(3, TORUS)})
