@@ -27,8 +27,8 @@ from operator import methodcaller
 from typing import Callable, Sequence
 
 from .fields import MatrixFunction, VectorField, field_action
-from .forms import FormClass, PForm, lie_derive, reduce_mod_exact
-from .linalg import echelon_rank, mat_mul
+from .forms import FormClass, PForm, _insert_sign, lie_derive, reduce_mod_exact
+from .linalg import cohomology_dims, mat_mul, sparse_matrix
 from .reports import CheckReport
 from .rings import MismatchError, RingElement, as_scalar
 from .sampling import (basis_fields, derive_seed, model_modes, random_field,
@@ -407,56 +407,34 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
 # -- finite-dimensional cohomology ------------------------------------------
 
 
-def _dual_eval(target: tuple[int, ...], first: int, rest: tuple[int, ...]) -> int:
-    """Evaluate the dual basis cochain psi_target on (e_first, e_rest...)."""
-    if first in rest:
-        return 0
-    merged = tuple(sorted((first,) + rest))
-    if merged != target:
-        return 0
-    return (-1) ** sum(1 for r in rest if r < first)
-
-
 def ce_matrix(lie: FiniteLieAlgebra, p: int):
     """Matrix of d: C^p -> C^(p+1) with trivial coefficients.
 
     Rows are indexed by p-subsets (the dual basis cochains), columns by
-    (p+1)-subsets.
+    (p+1)-subsets.  On a (p+1)-subset S,
+    d psi_T(e_S) = sum_{i<j} (-1)^(i+j) psi_T([e_Si, e_Sj], e_rest), and
+    psi_T(e_k, e_rest) is the sign that sorts k into rest when that gives
+    T, so each nonzero structure constant adds one entry.
     """
-    sources = list(combinations(range(lie.dim), p))
     targets = list(combinations(range(lie.dim), p + 1))
-    rows = []
-    for T in sources:
-        row = [0] * len(targets)
-        for col, S in enumerate(targets):
-            acc = 0
-            for i in range(p + 1):
-                for j in range(i + 1, p + 1):
-                    rest = tuple(S[k] for k in range(p + 1) if k != i and k != j)
-                    for k, coeff in enumerate(lie.c[S[i]][S[j]]):
-                        if coeff:
-                            sign = _dual_eval(T, k, rest)
-                            if sign:
-                                acc += (-1) ** (i + j) * coeff * sign
-            row[col] = acc
-        rows.append(row)
-    return rows
+
+    def entries():
+        for S in targets:
+            for i, j in combinations(range(p + 1), 2):
+                rest = S[:i] + S[i + 1:j] + S[j + 1:]
+                for k, coeff in enumerate(lie.c[S[i]][S[j]]):
+                    if not coeff or k in rest:
+                        continue
+                    sign, T = _insert_sign(k, rest)
+                    yield T, S, (-1) ** (i + j) * sign * coeff
+
+    return sparse_matrix(list(combinations(range(lie.dim), p)), targets, entries())
 
 
 def betti_numbers(lie: FiniteLieAlgebra) -> list[int]:
     """dim H^p for p = 0..dim, trivial coefficients, exact arithmetic."""
-    dims = [comb(lie.dim, p) for p in range(lie.dim + 1)]
-    ranks = []
-    for p in range(lie.dim + 1):
-        if p == lie.dim:
-            ranks.append(0)
-            continue
-        ranks.append(echelon_rank(ce_matrix(lie, p)))
-    betti = []
-    for p in range(lie.dim + 1):
-        below = ranks[p - 1] if p else 0
-        betti.append(dims[p] - ranks[p] - below)
-    return betti
+    return cohomology_dims([comb(lie.dim, p) for p in range(lie.dim + 1)],
+                           [ce_matrix(lie, p) for p in range(lie.dim)])
 
 
 # -- cochain products ---------------------------------------------------------

@@ -196,8 +196,13 @@ class MatrixFunction:
                 out[key] = total
         return MatrixFunction._trusted(self.n, self.model, out, self.size)
 
+    def __neg__(self) -> "MatrixFunction":
+        return MatrixFunction._trusted(self.n, self.model,
+                                       {k: -f for k, f in self.entries.items()},
+                                       self.size)
+
     def __sub__(self, other: "MatrixFunction") -> "MatrixFunction":
-        return self + other.scale(-1)
+        return self + (-other)
 
     def scale(self, c) -> "MatrixFunction":
         c = as_scalar(c)

@@ -17,6 +17,10 @@ computed by `reduce_mod_exact`:
   form degree), so each weight component is reduced against an echelon
   basis of the image of d.
 
+Both models split into finite components that d preserves (`_component`),
+and every matrix of d on a graded piece comes from `_d_matrix`, which reads
+it off the `ext_d` images of basis monomials.
+
 `FormClass` wraps a reduced representative; equality of classes is
 equality of representatives.
 
@@ -32,11 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import echelon_rank, in_span, reduce_against, rref
+from .linalg import cohomology_dims, in_span, reduce_against, rref, sparse_matrix
 from .rings import (AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement,
                     _check_mode, _demote, affine_modes, as_scalar, box_modes,
                     scalar_text)
@@ -270,8 +273,7 @@ def ext_d(w: PForm) -> PForm:
             e = mode[j - 1]
             if e == 0 or j in subset:
                 continue
-            ins = _insert_sign(j, subset)
-            sign, merged = ins
+            sign, merged = _insert_sign(j, subset)
             target = mode if torus else mode[: j - 1] + (e - 1,) + mode[j:]
             key = (target, merged)
             s = out.get(key, 0) + sign * e * c
@@ -360,43 +362,42 @@ def _reduce_torus(w: PForm) -> PForm:
     return PForm._trusted(w.n, w.model, w.degree, out)
 
 
-def _affine_weight(key: Key) -> int:
+def _component(model: str, key: Key) -> Mode | int:
+    """The graded component d preserves: the mode on the torus, the
+    weight (polynomial degree plus form degree) in the affine model."""
     mode, subset = key
-    return sum(mode) + len(subset)
+    return mode if model == TORUS else sum(mode) + len(subset)
 
 
-def _affine_component_basis(n: int, degree: int, weight: int) -> list[Key]:
-    poly = weight - degree
-    if poly < 0 or not 0 <= degree <= n:
+def _component_basis(n: int, model: str, degree: int, component: Mode | int) -> list[Key]:
+    """Sorted basis keys of the degree-`degree` forms in one component."""
+    if degree < 0:
         return []
-    keys: list[Key] = []
-    for subset in combinations(range(1, n + 1), degree):
-        for mode in affine_modes(n, poly):
-            if sum(mode) == poly:
-                keys.append((mode, subset))
-    keys.sort()
-    return keys
+    if model == TORUS:
+        modes = [component]
+    else:
+        poly = component - degree
+        modes = [m for m in affine_modes(n, poly) if sum(m) == poly]
+    return sorted((mode, subset) for subset in combinations(range(1, n + 1), degree)
+                  for mode in modes)
+
+
+def _d_matrix(n: int, model: str, degree: int, component: Mode | int) -> list[list]:
+    """Matrix of d from degree to degree + 1 inside one component, built
+    from the `ext_d` images of the basis monomials."""
+    sources = _component_basis(n, model, degree, component)
+    return sparse_matrix(
+        sources, _component_basis(n, model, degree + 1, component),
+        ((key, image, c) for key in sources
+         for image, c in ext_d(PForm._trusted(n, model, degree, {key: 1})).terms.items()))
 
 
 @lru_cache(maxsize=None)
 def _affine_exact_rref(n: int, degree: int, weight: int):
     """Echelon basis of the image of d inside the (degree, weight) component."""
-    target = _affine_component_basis(n, degree, weight)
-    if not target:
-        return (), (), ()
-    index = {key: i for i, key in enumerate(target)}
-    rows = []
-    for mode, subset in _affine_component_basis(n, degree - 1, weight):
-        image = ext_d(PForm.monomial(n, AFFINE, mode, subset))
-        if image.is_zero():
-            continue
-        row = [0] * len(target)
-        for key, c in image.terms.items():
-            row[index[key]] = c
-        rows.append(row)
-    reduced, pivots = rref(rows)
-    frozen = tuple(tuple(r) for r in reduced)
-    return frozen, tuple(pivots), tuple(target)
+    rows, pivots = rref(_d_matrix(n, AFFINE, degree - 1, weight))
+    return (tuple(map(tuple, rows)), tuple(pivots),
+            tuple(_component_basis(n, AFFINE, degree, weight)))
 
 
 def _reduce_affine(w: PForm) -> PForm:
@@ -404,12 +405,11 @@ def _reduce_affine(w: PForm) -> PForm:
         return w
     by_weight: dict[int, dict[Key, int | Fraction]] = {}
     for key, c in w.terms.items():
-        by_weight.setdefault(_affine_weight(key), {})[key] = c
+        by_weight.setdefault(_component(AFFINE, key), {})[key] = c
     out: dict[Key, int | Fraction] = {}
     for weight, component in sorted(by_weight.items()):
         rows, pivots, basis = _affine_exact_rref(w.n, w.degree, weight)
-        vec = [component.get(key, 0) for key in basis]
-        vec = reduce_against(vec, [list(r) for r in rows], list(pivots))
+        vec = reduce_against([component.get(key, 0) for key in basis], rows, pivots)
         for key, c in zip(basis, vec):
             if c:
                 out[key] = c
@@ -486,119 +486,47 @@ class FormClass:
         return self.rep.to_json()
 
 
-def is_exact(w: PForm, max_weight_slack: int = 0) -> bool:
+def is_exact(w: PForm) -> bool:
     """Membership in the image of d, decided per graded component.
 
     Used as an independent cross-check on `reduce_mod_exact`: a form
     reduces to zero exactly when it is a sum of differentials.
     """
-    if w.is_zero():
-        return True
-    if w.degree == 0:
-        return False
-    if w.model == AFFINE:
-        by_weight: dict[int, dict[Key, int | Fraction]] = {}
-        for key, c in w.terms.items():
-            by_weight.setdefault(_affine_weight(key), {})[key] = c
-        for weight, component in by_weight.items():
-            basis = _affine_component_basis(w.n, w.degree, weight)
-            index = {key: i for i, key in enumerate(basis)}
-            vec = [component.get(key, 0) for key in basis]
-            rows = []
-            for mode, subset in _affine_component_basis(w.n, w.degree - 1, weight):
-                image = ext_d(PForm.monomial(w.n, AFFINE, mode, subset))
-                row = [0] * len(basis)
-                for key, c in image.terms.items():
-                    row[index[key]] = c
-                rows.append(row)
-            if in_span(vec, rows) is None:
-                return False
-        return True
-    # torus: group by mode; mode 0 is exact only when zero
-    by_mode: dict[Mode, dict[Subset, int | Fraction]] = {}
-    for (mode, subset), c in w.terms.items():
-        by_mode.setdefault(mode, {})[subset] = c
-    for mode, component in by_mode.items():
-        if not any(mode):
-            return False
-        subsets = list(combinations(range(1, w.n + 1), w.degree))
-        index = {s: i for i, s in enumerate(subsets)}
-        vec = [component.get(s, 0) for s in subsets]
-        rows = []
-        for source in combinations(range(1, w.n + 1), w.degree - 1):
-            row = [0] * len(subsets)
-            for j, e in enumerate(mode, start=1):
-                if e == 0:
-                    continue
-                ins = _insert_sign(j, source)
-                if ins is None:
-                    continue
-                sign, merged = ins
-                row[index[merged]] += sign * e
-            rows.append(row)
-        if in_span(vec, rows) is None:
+    by_component: dict = {}
+    for key, c in w.terms.items():
+        by_component.setdefault(_component(w.model, key), {})[key] = c
+    for component, terms in by_component.items():
+        basis = _component_basis(w.n, w.model, w.degree, component)
+        vec = [terms.get(key, 0) for key in basis]
+        if in_span(vec, _d_matrix(w.n, w.model, w.degree - 1, component)) is None:
             return False
     return True
 
 
-def de_rham_dims(model: str, n: int, radius: int = 2, max_weight: int = 4) -> list[int]:
-    """Cohomology dimensions of the d-complex, degree 0..n.
+_MAX_WEIGHT = 4
 
-    Torus: binomial(n, p), verified by exactness of every nonzero-mode
-    component inside the sample box.  Affine: (1, 0, ..., 0), verified by
-    rank counting on weight components up to `max_weight`.
+
+def de_rham_dims(model: str, n: int, radius: int = 2) -> list[int]:
+    """Cohomology dimensions of the d-complex, degree 0..n, summed over
+    torus modes in the box of `radius` or affine weights up to `_MAX_WEIGHT`.
+
+    d must vanish on mode 0 and weight 0 (binomial(n, p) and (1, 0, ..., 0))
+    and every other component must be exact; if not, AssertionError.
     """
     if model == TORUS:
-        modes = [m for m in box_modes(n, radius) if any(m)]
-        for mode in modes:
-            ranks = []
-            for p in range(n + 1):
-                subsets = list(combinations(range(1, n + 1), p))
-                targets = list(combinations(range(1, n + 1), p + 1))
-                tindex = {s: i for i, s in enumerate(targets)}
-                rows = []
-                for source in subsets:
-                    row = [0] * len(targets)
-                    for j, e in enumerate(mode, start=1):
-                        if e == 0:
-                            continue
-                        ins = _insert_sign(j, source)
-                        if ins is None:
-                            continue
-                        sign, merged = ins
-                        row[tindex[merged]] += sign * e
-                    rows.append(row)
-                ranks.append(echelon_rank(rows) if targets else 0)
-            for p in range(n + 1):
-                dim = comb(n, p)
-                below = ranks[p - 1] if p else 0
-                if dim - ranks[p] - below != 0:
-                    raise AssertionError(f"mode {mode} component not exact at degree {p}")
-        return [comb(n, p) for p in range(n + 1)]
-    if model == AFFINE:
-        dims = []
-        for p in range(n + 1):
-            total = 0
-            for weight in range(max_weight + 1):
-                basis = _affine_component_basis(n, p, weight)
-                if not basis:
-                    continue
-                rows_img, pivots_img, _ = _affine_exact_rref(n, p, weight)
-                index = {key: i for i, key in enumerate(basis)}
-                ker_rows = []
-                for mode, subset in basis:
-                    image = ext_d(PForm.monomial(n, AFFINE, mode, subset))
-                    target = _affine_component_basis(n, p + 1, weight)
-                    tindex = {key: i for i, key in enumerate(target)}
-                    row = [0] * len(target)
-                    for key, c in image.terms.items():
-                        row[tindex[key]] = c
-                    ker_rows.append(row)
-                rank_d = echelon_rank(ker_rows)
-                total += len(basis) - rank_d - len(pivots_img)
-            dims.append(total)
-        expected = [1] + [0] * n
+        components, zero = box_modes(n, radius), (0,) * n
+    elif model == AFFINE:
+        components, zero = range(_MAX_WEIGHT + 1), 0
+    else:
+        raise MismatchError(f"unknown model {model!r}")
+    total = [0] * (n + 1)
+    for component in components:
+        sizes = [len(_component_basis(n, model, p, component)) for p in range(n + 1)]
+        dims = cohomology_dims(sizes, [_d_matrix(n, model, p, component)
+                                       for p in range(n)])
+        expected = sizes if component == zero else [0] * (n + 1)
         if dims != expected:
-            raise AssertionError(f"affine complex not acyclic in sampled weights: {dims}")
-        return expected
-    raise MismatchError(f"unknown model {model!r}")
+            raise AssertionError(f"{model} component {component} has cohomology "
+                                 f"{dims}, expected {expected}")
+        total = list(map(add, total, dims))
+    return total

@@ -4,11 +4,16 @@ A matrix is a list of rows, each row a list of int/Fraction.  Pivoting is
 deterministic: scan columns left to right, take the first row with a
 nonzero entry.  No magnitude heuristics; arithmetic is exact, so there is
 nothing to stabilize.
+
+Every finite cochain complex in the package (de Rham components, finite
+Lie algebra cochains, the truncated Weil algebra) builds its differentials
+with `sparse_matrix` and counts cohomology with `cohomology_dims`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Hashable, Iterable, Sequence
 
 Row = list
 Matrix = list
@@ -52,6 +57,34 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
 
 def echelon_rank(matrix: Matrix) -> int:
     return len(rref(matrix)[1])
+
+
+def sparse_matrix(sources: Sequence[Hashable], targets: Sequence[Hashable],
+                  entries: Iterable[tuple[Hashable, Hashable, object]]) -> Matrix:
+    """Matrix with one row per source and one column per target, filled
+    from (source, target, coeff) triples; repeated pairs add up.
+
+    A source or target outside the given bases raises KeyError.
+    """
+    row_of = {s: i for i, s in enumerate(sources)}
+    col_of = {t: j for j, t in enumerate(targets)}
+    rows = [[0] * len(col_of) for _ in row_of]
+    for source, target, coeff in entries:
+        rows[row_of[source]][col_of[target]] += coeff
+    return rows
+
+
+def cohomology_dims(sizes: Sequence[int], matrices: Sequence[Matrix]) -> list[int]:
+    """dim H^p = sizes[p] - rank d^p - rank d^(p-1) of a finite complex.
+
+    `matrices[p]` is d^p: C^p -> C^(p+1) with one row per basis element
+    of C^p.  Maps past the end of `matrices` count as zero, so a last map
+    into the zero space may be left out.
+    """
+    ranks = [echelon_rank(m) for m in matrices]
+    ranks += [0] * (len(sizes) - len(ranks))
+    return [size - ranks[p] - (ranks[p - 1] if p else 0)
+            for p, size in enumerate(sizes)]
 
 
 def reduce_against(vector: Row, rref_rows: Matrix, pivots: list[int]) -> Row:

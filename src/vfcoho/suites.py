@@ -276,13 +276,14 @@ def suite_cocycles(cfg: RunConfig) -> list[CheckReport]:
 # -- relations -----------------------------------------------------------------
 
 
-def _de_rham_check(cfg: RunConfig) -> CheckReport:
+def _de_rham_check(name: str, model: str, n: int, radius: int = 2) -> CheckReport:
+    """`de_rham_dims` against binomial(n, p) on the torus and (1, 0, ..., 0)
+    in the affine model; a component it rejects is the witness."""
     start = time.perf_counter()
-    n = cfg.dim
-    name = "relation:de-rham-dims:torus"
-    expected = [comb(n, p) for p in range(n + 1)]
+    expected = ([comb(n, p) for p in range(n + 1)] if model == TORUS
+                else [1] + [0] * n)
     try:
-        got = de_rham_dims(TORUS, n, radius=min(cfg.radius, 2))
+        got = de_rham_dims(model, n, radius)
     except AssertionError as exc:
         return CheckReport(name=name, status="fail",
                            witness={"reason": str(exc)},
@@ -422,7 +423,8 @@ def suite_relations(cfg: RunConfig) -> list[CheckReport]:
         reports.append(check_maurer_cartan(
             coframe, name=f"relation:maurer-cartan:{m}", params={"dim": n}))
 
-    reports.append(_de_rham_check(cfg))
+    reports.append(_de_rham_check("relation:de-rham-dims:torus", TORUS, n,
+                                  min(cfg.radius, 2)))
     reports.append(_representative_independence(cfg, model))
     return reports
 
@@ -478,16 +480,7 @@ def suite_formal(cfg: RunConfig) -> list[CheckReport]:
     reports.append(_cocycle(cfg, divergence_cochain(n, AFFINE),
                             "formal:cocycle:divergence"))
 
-    start = time.perf_counter()
-    expected = [1] + [0] * n
-    got = de_rham_dims(AFFINE, n, radius=min(cfg.radius, 3))
-    status = "pass" if got == expected else "fail"
-    reports.append(CheckReport(
-        name="formal:de-rham-dims", status=status, tuples=n + 1,
-        witness=None if status == "pass" else {"expected": expected, "got": got},
-        data={"dims": got}, params={"dim": n},
-        wall_ms=(time.perf_counter() - start) * 1000.0))
-
+    reports.append(_de_rham_check("formal:de-rham-dims", AFFINE, n))
     reports.append(_representative_independence(cfg.with_(model=AFFINE), AFFINE,
                                                 prefix="formal"))
     return reports

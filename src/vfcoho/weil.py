@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .linalg import echelon_rank
+from .linalg import cohomology_dims, sparse_matrix
 from .rings import MismatchError
 
 UTuple = tuple[int, ...]
@@ -108,23 +108,12 @@ def max_degree(n: int) -> int:
 @lru_cache(maxsize=None)
 def weil_betti(n: int) -> tuple[int, ...]:
     """dim H^q of the truncated Weil algebra for q = 0..max_degree(n)."""
-    top = max_degree(n)
-    bases = [weil_basis(n, q) for q in range(top + 2)]
-    ranks = []
-    for q in range(top + 1):
-        target = {m: i for i, m in enumerate(bases[q + 1])}
-        rows = []
-        for mono in bases[q]:
-            row = [0] * len(bases[q + 1])
-            for sign, image in weil_differential(mono, n):
-                row[target[image]] += sign
-            rows.append(row)
-        ranks.append(echelon_rank(rows) if bases[q + 1] else 0)
-    betti = []
-    for q in range(top + 1):
-        below = ranks[q - 1] if q else 0
-        betti.append(len(bases[q]) - ranks[q] - below)
-    return tuple(betti)
+    bases = [weil_basis(n, q) for q in range(max_degree(n) + 1)]
+    matrices = [sparse_matrix(source, target,
+                              ((mono, image, sign) for mono in source
+                               for sign, image in weil_differential(mono, n)))
+                for source, target in zip(bases, bases[1:])]
+    return tuple(cohomology_dims([len(b) for b in bases], matrices))
 
 
 def vey_basis(n: int, degree: int | None = None) -> list[Monomial]:

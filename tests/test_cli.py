@@ -1,20 +1,20 @@
 """Command line contract: exit codes, output shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
-from vfcoho.reports import strip_timing
+from vfcoho.reports import dumps, strip_timing
 
 CLI = [sys.executable, "-m", "vfcoho.cli"]
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -142,3 +142,22 @@ def test_planted_defect_fails_the_run_with_witness():
     failed = [c for c in doc["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["extension:jacobi:planted-noncocycle"]
     assert all("witness" in c for c in failed)
+
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "report_planted_dim1.json"
+
+
+def test_planted_report_matches_the_golden_document():
+    """Every suite at dim 1, timing and versions removed, byte for byte.
+
+    A change that alters report content on purpose regenerates the file
+    with `vfcoho report --planted --dim 1` through `strip_timing`, minus
+    the `versions` block.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("VFCOHO_")}
+    out = subprocess.run(CLI + ["report", "--planted", "--dim", "1"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    doc = strip_timing(json.loads(out.stdout))
+    doc.pop("versions")
+    assert dumps(doc) == GOLDEN_REPORT.read_text()

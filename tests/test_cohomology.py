@@ -1,6 +1,7 @@
 """Chevalley-Eilenberg machinery: finite Betti numbers, cocycle checking,
 the gauge model, and pullbacks along the crossed homomorphism."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -39,6 +40,36 @@ def test_ce_differential_squares_to_zero():
         for p in range(lie.dim - 1):
             square = mat_mul(ce_matrix(lie, p), ce_matrix(lie, p + 1))
             assert all(all(v == 0 for v in row) for row in square)
+
+
+def _dense_ce_matrix(lie, p):
+    """d: C^p -> C^(p+1) evaluated entry by entry: the dual basis cochain
+    psi_T of row T applied to the bracket terms of column S."""
+    def dual(T, first, rest):
+        if first in rest or tuple(sorted((first,) + rest)) != T:
+            return 0
+        return (-1) ** sum(1 for r in rest if r < first)
+
+    rows = []
+    for T in combinations(range(lie.dim), p):
+        row = []
+        for S in combinations(range(lie.dim), p + 1):
+            acc = 0
+            for i, j in combinations(range(p + 1), 2):
+                rest = tuple(S[k] for k in range(p + 1) if k not in (i, j))
+                for k, coeff in enumerate(lie.c[S[i]][S[j]]):
+                    acc += (-1) ** (i + j) * coeff * dual(T, k, rest)
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("lie", [FiniteLieAlgebra.sl2(), FiniteLieAlgebra.gl(2)],
+                         ids=["sl2", "gl2"])
+def test_ce_matrix_matches_a_dense_evaluation(lie):
+    for p in range(lie.dim + 1):
+        assert ce_matrix(lie, p) == _dense_ce_matrix(lie, p)
+    assert any(any(row) for row in ce_matrix(lie, 1))
 
 
 def test_structure_constants_validated():

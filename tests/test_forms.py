@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vfcoho import (AFFINE, TORUS, MismatchError, PForm, RingElement,
                     VectorField, ext_d, lie_derive, reduce_mod_exact)
+from vfcoho import forms, suites
 from vfcoho.forms import contract, de_rham_dims, is_exact, wedge
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -175,3 +176,27 @@ def test_de_rham_dimension_tables():
     assert de_rham_dims(TORUS, 1) == [1, 1]
     assert de_rham_dims(TORUS, 2) == [1, 2, 1]
     assert de_rham_dims(AFFINE, 2) == [1, 0, 0]
+
+
+def _ext_d_without_the_last_direction(w):
+    """ext_d with the j = n term of d(f kappa_I) = sum_j (E_j f) kappa_j ^ kappa_I
+    dropped: a single-point defect in the differential."""
+    n, model = w.n, w.model
+    last = PForm.zero(n, model, w.degree + 1)
+    for (mode, subset), c in w.terms.items():
+        f = PForm.from_ring(RingElement.monomial(n, model, mode, c).derive(n))
+        last = last + PForm.kappa(n, model, n).wedge(
+            f.wedge(PForm.monomial(n, model, (0,) * n, subset)))
+    return ext_d(w) - last
+
+
+@pytest.mark.parametrize("model", [TORUS, AFFINE])
+def test_de_rham_check_fails_on_a_defective_differential(model, monkeypatch):
+    name = f"de-rham:{model}"
+    assert suites._de_rham_check(name, model, 2).status == "pass"
+    monkeypatch.setattr(forms, "ext_d", _ext_d_without_the_last_direction)
+    with pytest.raises(AssertionError):
+        de_rham_dims(model, 2)
+    report = suites._de_rham_check(name, model, 2)
+    assert report.status == "fail"
+    assert report.witness["reason"]

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vfcoho.linalg import echelon_rank, in_span, mat_mul, reduce_against, rref
+from vfcoho.linalg import (cohomology_dims, echelon_rank, in_span, mat_mul,
+                           reduce_against, rref, sparse_matrix)
 
 entries = st.integers(-4, 4).map(Fraction)
 small_matrices = st.lists(
@@ -82,3 +84,28 @@ def test_mat_mul_associates():
 
     a, b, c = mk(2, 3), mk(3, 3), mk(3, 2)
     assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+
+
+def test_sparse_matrix_adds_repeated_pairs():
+    m = sparse_matrix(["u", "v"], ["x", "y", "z"],
+                      [("u", "y", 2), ("v", "x", 1), ("u", "y", Fraction(1, 2)),
+                       ("v", "x", -1)])
+    assert m == [[0, Fraction(5, 2), 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("entry", [("w", "x", 1), ("u", "w", 1)],
+                         ids=["unknown-source", "unknown-target"])
+def test_sparse_matrix_rejects_an_unknown_key(entry):
+    with pytest.raises(KeyError):
+        sparse_matrix(["u"], ["x"], [entry])
+
+
+def test_cohomology_dims_of_the_triangle_circle():
+    vertices = ["a", "b", "c"]
+    edges = [("a", "b"), ("b", "c"), ("a", "c")]
+    d0 = sparse_matrix(vertices, edges,
+                       [(v, e, 1 if v == e[1] else -1) for e in edges for v in e])
+    d1 = sparse_matrix(edges, [], [])
+    assert echelon_rank(d0) == 2
+    assert cohomology_dims([3, 3], [d0, d1]) == [1, 1]
+    assert cohomology_dims([3, 3], [d0]) == [1, 1]
