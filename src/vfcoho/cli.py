@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .reports import (SCHEMA_VERSION, RunConfig, dumps, env_default,
-                      render_text, report_document)
+                      render_text)
 from .rings import AFFINE, TORUS
 from .suites import SUITE_NAMES, all_passed, flatten, run_suites
 from .weil import (haefliger_dims, monomial_degree, monomial_text,
@@ -95,16 +95,30 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    names = SUITE_NAMES if suite == "all" else (suite,)
+def _run_document(cfg: RunConfig, names) -> tuple[dict, dict]:
+    """Run the named suites; return their sections and the JSON document
+    (one `checks` list sorted by name, each check tagged with its suite)."""
     start = time.perf_counter()
     sections = run_suites(names, cfg)
     total_ms = (time.perf_counter() - start) * 1000.0
-    ok = all_passed(sections)
+    checks = sorted(({"suite": name, **r.to_dict()}
+                     for name in names for r in sections[name]),
+                    key=lambda c: c["name"])
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "versions": {"package": __version__,
+                     "python": platform.python_version()},
+        "config": cfg.to_dict(),
+        "checks": checks,
+        "total_wall_ms": round(total_ms, 3),
+    }
+    return sections, document
+
+
+def cmd_verify(cfg: RunConfig, suite: str) -> int:
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    sections, document = _run_document(cfg, names)
     if cfg.fmt == "json":
-        document = report_document(
-            cfg, {name: [r.to_dict() for r in reports]
-                  for name, reports in sections.items()}, total_ms)
         _emit(dumps(document), cfg.out)
     else:
         lines = []
@@ -117,7 +131,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
                    else f"{len(reports)} checks, {failed} FAILED")
         lines.append(summary)
         _emit("\n".join(lines) + "\n", cfg.out)
-    return 0 if ok else 1
+    return 0 if all_passed(sections) else 1
 
 
 def _table_rows(cfg: RunConfig, which: str, degree: int | None) -> list[dict]:
@@ -171,25 +185,8 @@ def cmd_table(cfg: RunConfig, which: str, degree: int | None) -> int:
 
 
 def cmd_report(cfg: RunConfig, suites: list[str] | None) -> int:
-    names = tuple(SUITE_NAMES if suites is None else suites)
-    start = time.perf_counter()
-    sections = run_suites(names, cfg)
-    total_ms = (time.perf_counter() - start) * 1000.0
-    checks = []
-    for name in names:
-        for r in sections[name]:
-            entry = {"suite": name}
-            entry.update(r.to_dict())
-            checks.append(entry)
-    checks.sort(key=lambda c: c["name"])
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "versions": {"package": __version__,
-                     "python": platform.python_version()},
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "total_wall_ms": round(total_ms, 3),
-    }
+    sections, document = _run_document(
+        cfg, tuple(SUITE_NAMES if suites is None else suites))
     _emit(dumps(document), cfg.out)
     return 0 if all_passed(sections) else 1
 

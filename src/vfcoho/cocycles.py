@@ -457,14 +457,3 @@ def divfree_basis(n: int, model: str, radius: int) -> list[VectorField]:
                 fields.append(x)
     return fields
 
-
-def divfree_witness_search(n: int, radius: int) -> tuple[VectorField, VectorField, FormClass] | None:
-    """First divergence-free pair (enumeration order) where the degree-2
-    reduced trace does not vanish."""
-    psi = reduced_trace_cocycle(2, n, "torus")
-    fields = divfree_basis(n, "torus", radius)
-    for a, b in combinations(range(len(fields)), 2):
-        value = psi.evaluate(fields[a], fields[b])
-        if not value.is_zero():
-            return fields[a], fields[b], value
-    return None

@@ -31,8 +31,9 @@ from .forms import FormClass, PForm, _insert_sign, lie_derive, reduce_mod_exact
 from .linalg import cohomology_dims, mat_mul, sparse_matrix
 from .reports import CheckReport
 from .rings import MismatchError, RingElement, as_scalar
-from .sampling import (basis_fields, derive_seed, model_modes, random_field,
-                       random_ring, random_scalar, run_check, seeded_cases)
+from .sampling import (basis_fields, check_rng, model_modes, random_field,
+                       random_ring, random_scalar, run_check, seeded_cases,
+                       seeded_check)
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
@@ -384,24 +385,17 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
     `max_tuples`; beyond that, a seeded uniform sample of that size.
     Residuals are exact, so any failure produces a concrete witness.
     """
-    check_name = name or f"cocycle:{cochain.name}"
-    rng = random.Random(derive_seed(seed, check_name))
     action = module_action(cochain)
     bracket_fn = domain_bracket(cochain)
-    elements = _domain_elements(cochain, radius)
-    arity = cochain.degree + 1
-    params = {"radius": radius, "samples": samples, "seed": seed,
-              "max_tuples": max_tuples, "arity": arity,
-              "basis_size": len(elements)}
-    params.update(cochain.spec_dict())
-    cases, exhaustive = seeded_cases(
-        rng, elements, arity, max_tuples, samples,
-        lambda rng: _random_domain_element(cochain, rng, radius))
     text = (cochain.ctx.vector_text if cochain.domain == "finite"
             else methodcaller("text"))
-    return run_check(check_name, params, cases, exhaustive,
-                     lambda *args: ce_apply(cochain, args, action, bracket_fn),
-                     text)
+    return seeded_check(
+        name or f"cocycle:{cochain.name}", _domain_elements(cochain, radius),
+        cochain.degree + 1,
+        lambda *args: ce_apply(cochain, args, action, bracket_fn),
+        seed=seed, budget=max_tuples, samples=samples,
+        random_element=lambda rng: _random_domain_element(cochain, rng, radius),
+        params=dict(cochain.spec_dict(), radius=radius), text=text)
 
 
 # -- finite-dimensional cohomology ------------------------------------------
@@ -502,11 +496,16 @@ def is_equivariant(cochain: Cochain, radius: int = 1, samples: int = 50,
     commutes with evaluation,
 
         X . phi(u_1..u_k) = sum_j phi(u_1, ..., X.u_j, ..., u_k).
+
+    The basis cases pair each of the `fields` basis fields with each gauge
+    k-tuple (all of them, or a seeded sample of `max_gauge_tuples`), so the
+    params name those counts rather than the basis_size/max_tuples of a
+    plain tuple check.
     """
     if cochain.domain != "gauge":
         raise MismatchError("equivariance applies to gauge cochains")
     check_name = name or f"equivariant:{cochain.name}"
-    rng = random.Random(derive_seed(seed, check_name))
+    rng = check_rng(seed, check_name)
     ctx: GaugeContext = cochain.ctx
     fields_cochain = Cochain("_", 0, lambda: None, "fields", cochain.values,
                              cochain.n, cochain.model, cochain.value_degree)
@@ -514,7 +513,9 @@ def is_equivariant(cochain: Cochain, radius: int = 1, samples: int = 50,
     fields = basis_fields(cochain.model, cochain.n, radius)
     gauge = ctx.basis_elements(model_modes(cochain.model, cochain.n, radius))
     k = cochain.degree
-    params = {"radius": radius, "samples": samples, "seed": seed, "arity": k + 1}
+    params = {"radius": radius, "samples": samples, "seed": seed, "arity": k + 1,
+              "fields": len(fields), "gauge_size": len(gauge),
+              "max_gauge_tuples": max_tuples}
 
     def residual(x, *us):
         lhs = act(x, cochain.evaluate(*us))

@@ -32,8 +32,7 @@ from .fields import VectorField
 from .forms import FormClass, PForm, ext_d, lie_derive, reduce_mod_exact
 from .reports import CheckReport
 from .rings import MismatchError, as_scalar, box_modes
-from .sampling import (derive_seed, random_field, random_ring, random_scalar,
-                       run_check, seeded_cases)
+from .sampling import random_field, random_ring, random_scalar, seeded_check
 
 
 class InvariantForm:
@@ -227,19 +226,23 @@ def _random_extension_element(setup: ExtensionSetup, rng: random.Random,
         field=random_field(rng, ctx.model, ctx.n, radius))
 
 
+def _extension_check(setup: ExtensionSetup, arity: int, residual, radius: int,
+                     samples: int, seed: int, max_tuples: int,
+                     name: str) -> CheckReport:
+    return seeded_check(
+        name, _basis_extension_elements(setup, radius), arity, residual,
+        seed=seed, budget=max_tuples, samples=samples,
+        random_element=lambda rng: _random_extension_element(setup, rng, radius),
+        params={"radius": radius,
+                "twist": setup.tau.name if setup.tau else "none"})
+
+
 def jacobi_check(setup: ExtensionSetup, radius: int = 1, samples: int = 200,
                  seed: int = 7, max_tuples: int = 4000,
                  name: str = "jacobi") -> CheckReport:
     """Cyclic Jacobi identity on basis triples plus seeded random triples."""
-    rng = random.Random(derive_seed(seed, name))
-    elements = _basis_extension_elements(setup, radius)
-    params = {"radius": radius, "samples": samples, "seed": seed,
-              "max_tuples": max_tuples, "basis_size": len(elements),
-              "twist": setup.tau.name if setup.tau else "none"}
-    cases, exhaustive = seeded_cases(
-        rng, elements, 3, max_tuples, samples,
-        lambda rng: _random_extension_element(setup, rng, radius))
-    return run_check(name, params, cases, exhaustive, jacobi_residual)
+    return _extension_check(setup, 3, jacobi_residual, radius, samples, seed,
+                            max_tuples, name)
 
 
 def antisymmetry_residual(a: ExtensionElement,
@@ -253,14 +256,8 @@ def antisymmetry_check(setup: ExtensionSetup, radius: int = 1, samples: int = 10
                        seed: int = 7, max_tuples: int = 4000,
                        name: str = "antisymmetry") -> CheckReport:
     """[a,b] + [b,a] = 0 and [a,a] = 0 on basis pairs plus random pairs."""
-    rng = random.Random(derive_seed(seed, name))
-    elements = _basis_extension_elements(setup, radius)
-    params = {"radius": radius, "samples": samples, "seed": seed,
-              "twist": setup.tau.name if setup.tau else "none"}
-    cases, exhaustive = seeded_cases(
-        rng, elements, 2, max_tuples, samples,
-        lambda rng: _random_extension_element(setup, rng, radius))
-    return run_check(name, params, cases, exhaustive, antisymmetry_residual)
+    return _extension_check(setup, 2, antisymmetry_residual, radius, samples,
+                            seed, max_tuples, name)
 
 
 # -- twists -------------------------------------------------------------------

@@ -19,13 +19,12 @@ soon as two Jacobians fail to commute: matrices sit in different rows.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .forms import PForm, ext_d
 from .reports import CheckReport
-from .rings import MODELS, MismatchError, Mode, RingElement, as_scalar
+from .rings import MODELS, MismatchError, RingElement, as_scalar
 
 MatrixEntries = dict[tuple[int, int], RingElement]
 
@@ -289,21 +288,20 @@ def check_maurer_cartan(coframe: Sequence[PForm],
     The frame coframe is closed and abelian, so it passes with zero
     structure; a non-flat coframe yields an explicit failing residual.
     """
-    start = time.perf_counter()
+    from .sampling import run_check  # sampling imports this module
+
     k = len(coframe)
-    for a in range(k):
-        residual = ext_d(coframe[a])
+
+    def residual(a: int) -> PForm:
+        out = ext_d(coframe[a])
         if structure is not None:
             for b in range(k):
                 for c in range(k):
                     coeff = structure[b][c][a]
                     if coeff:
-                        residual = residual + coframe[b].wedge(coframe[c]).scale(
+                        out = out + coframe[b].wedge(coframe[c]).scale(
                             Fraction(coeff, 2))
-        if not residual.is_zero():
-            return CheckReport(
-                name=name, params=params or {}, status="fail", tuples=a + 1,
-                witness={"component": a + 1, "residual": residual.text()},
-                wall_ms=(time.perf_counter() - start) * 1000.0)
-    return CheckReport(name=name, params=params or {}, status="pass", tuples=k,
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
+        return out
+
+    return run_check(name, params or {}, ((a,) for a in range(k)), True,
+                     residual, lambda a: coframe[a].text())

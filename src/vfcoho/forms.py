@@ -473,12 +473,6 @@ class FormClass:
     def scale(self, c) -> "FormClass":
         return FormClass(self.rep.scale(c))
 
-    def wedge_closed(self, closed: PForm) -> "FormClass":
-        """Wedge with a closed form (well defined on classes)."""
-        if not ext_d(closed).is_zero():
-            raise MismatchError("wedge on classes requires a closed form")
-        return reduce_mod_exact(self.rep.wedge(closed))
-
     def text(self) -> str:
         return f"[{self.rep.text()}]"
 

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TIMING_FIELDS = ("wall_ms", "total_wall_ms")
 
@@ -92,16 +92,6 @@ def env_default(name: str, fallback, cast=int):
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad value for {ENV_PREFIX}_{name.upper()}: {raw!r}") from exc
-
-
-def report_document(config: RunConfig, sections: dict[str, Any],
-                    total_wall_ms: float) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "sections": sections,
-        "total_wall_ms": round(total_wall_ms, 3),
-    }
 
 
 def dumps(document: Any) -> str:

@@ -162,9 +162,6 @@ class RingElement:
     def sorted_terms(self) -> list[tuple[Mode, int | Fraction]]:
         return sorted(self.terms.items())
 
-    def constant_term(self) -> int | Fraction:
-        return self.terms.get((0,) * self.n, 0)
-
     def __iter__(self) -> Iterator[tuple[Mode, int | Fraction]]:
         return iter(self.terms.items())
 

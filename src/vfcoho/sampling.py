@@ -1,4 +1,5 @@
-"""Deterministic enumeration and seeded sampling of test inputs.
+"""Deterministic enumeration and seeded sampling of test inputs, and the
+one check engine.
 
 Basis fields are enumerated in lexicographic mode order (box of radius R
 in the torus model, total degree <= R in the affine model).  For a check
@@ -7,9 +8,17 @@ count fits the configured budget; otherwise it draws a uniform seeded
 sample of exactly `budget` tuples.  Random tuples on top of that are
 small rational combinations of basis fields, so a residual that is not
 identically zero is caught with certainty at any point where it does not
-vanish.  `seeded_cases` yields those tuples and `run_check` evaluates one
-exact residual per tuple, stopping at the first nonzero one; every
-tuples-plus-samples check in the package runs through these two.
+vanish.
+
+Every check except the de Rham table comparison in `suites` runs through
+`run_check`, which times it and builds its report, in one of two forms.
+The must-vanish form stops at the first nonzero residual and fails with
+the witness {"args": [...], "residual": ...}.  The search form passes at
+the first nonzero value, recorded as data {"args": [...], "value": ...},
+and fails with a {"reason": ...} witness when the cases run out.
+`seeded_check` draws the basis-plus-samples cases of a check and records
+its standard params (arity, basis_size, max_tuples, samples, seed,
+exhaustive).
 
 The generator is Python's Mersenne Twister (`random.Random`), which is
 stable across platforms; per-check seeds are derived from the base seed
@@ -35,6 +44,11 @@ from .rings import TORUS, Mode, RingElement, affine_modes, box_modes
 
 def derive_seed(base: int, name: str) -> int:
     return (base * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) % (2 ** 63)
+
+
+def check_rng(seed: int, name: str) -> random.Random:
+    """The generator of one check, seeded by the base seed and its name."""
+    return random.Random(derive_seed(seed, name))
 
 
 def model_modes(model: str, n: int, radius: int) -> list[Mode]:
@@ -74,16 +88,15 @@ def random_ring(rng: random.Random, model: str, n: int, radius: int,
 
 
 def index_tuples(count: int, arity: int, budget: int,
-                 rng: random.Random) -> tuple[Iterator[tuple[int, ...]], int, bool]:
+                 rng: random.Random) -> tuple[Iterator[tuple[int, ...]], bool]:
     """Increasing `arity`-tuples out of range(count).
 
-    Returns (iterator, number_of_tuples, exhaustive_flag).  When the full
-    count exceeds the budget, a deduplicated seeded sample of `budget`
-    tuples is drawn instead.
+    Returns (iterator, exhaustive_flag).  When the full count exceeds the
+    budget, a deduplicated seeded sample of `budget` tuples is drawn
+    instead.
     """
-    total = comb(count, arity)
-    if total <= budget:
-        return combinations(range(count), arity), total, True
+    if comb(count, arity) <= budget:
+        return combinations(range(count), arity), True
 
     def sample() -> Iterator[tuple[int, ...]]:
         seen: set[tuple[int, ...]] = set()
@@ -93,7 +106,7 @@ def index_tuples(count: int, arity: int, budget: int,
                 seen.add(pick)
                 yield pick
 
-    return sample(), budget, False
+    return sample(), False
 
 
 def seeded_cases(rng: random.Random, elements: Sequence, arity: int, budget: int,
@@ -106,7 +119,7 @@ def seeded_cases(rng: random.Random, elements: Sequence, arity: int, budget: int
     Cases are drawn lazily and in that order, so the random tuples always
     follow the basis sample in the generator's stream.
     """
-    tuples, _total, exhaustive = index_tuples(len(elements), arity, budget, rng)
+    tuples, exhaustive = index_tuples(len(elements), arity, budget, rng)
     basis = (tuple(elements[i] for i in idx) for idx in tuples)
     drawn = (tuple(random_element(rng) for _ in range(arity))
              for _ in range(samples))
@@ -126,24 +139,51 @@ def value_text(v) -> str:
 
 
 def run_check(name: str, params: dict, cases: Iterable[tuple], exhaustive: bool,
-              residual: Callable, text: Callable = methodcaller("text")) -> CheckReport:
+              residual: Callable, text: Callable = methodcaller("text"),
+              search: str | None = None) -> CheckReport:
     """Evaluate `residual(*case)` once per case and stop at the first
-    nonzero value, whose case and residual become the witness
-    {"args": [...], "residual": ...}.  A check that saw no case fails:
-    it decided nothing.
+    nonzero value.
+
+    Must-vanish form (`search` None): that case and value are the failing
+    witness {"args": [...], "residual": ...}, and a check that saw no case
+    fails, for it decided nothing.  Search form (`search` the reason to
+    report): that case and value pass as data {"args": [...], "value": ...},
+    and running out of cases fails with {"reason": search}.
     """
     start = time.perf_counter()
     params = dict(params, exhaustive=exhaustive)
-    count = 0
+    count, found = 0, None
     for case in cases:
         count += 1
         r = residual(*case)
         if not value_is_zero(r):
-            return CheckReport(
-                name=name, params=params, status="fail", tuples=count,
-                witness={"args": [text(a) for a in case], "residual": value_text(r)},
-                wall_ms=(time.perf_counter() - start) * 1000.0)
+            found = {"args": [text(a) for a in case],
+                     "residual" if search is None else "value": value_text(r)}
+            break
+    if search is not None:
+        passed, witness = bool(found), None if found else {"reason": search}
+    else:
+        passed = count > 0 and not found
+        witness = found or (None if count else {"reason": "no tuples checked"})
     return CheckReport(
-        name=name, params=params, status="pass" if count else "fail", tuples=count,
-        witness=None if count else {"reason": "no tuples checked"},
+        name=name, params=params, status="pass" if passed else "fail",
+        tuples=count, witness=witness, data=found if search else None,
         wall_ms=(time.perf_counter() - start) * 1000.0)
+
+
+def seeded_check(name: str, elements: Sequence, arity: int, residual: Callable, *,
+                 seed: int, budget: int, samples: int,
+                 random_element: Callable | None = None, params: dict | None = None,
+                 text: Callable = methodcaller("text")) -> CheckReport:
+    """Must-vanish check over basis `arity`-tuples of `elements` plus
+    `samples` random tuples (none without `random_element`), drawn from a
+    generator seeded by (seed, name).  The report's params are the
+    caller's plus arity, basis_size, max_tuples, samples (as drawn), seed
+    and exhaustive.
+    """
+    samples = samples if random_element is not None else 0
+    cases, exhaustive = seeded_cases(check_rng(seed, name), elements, arity,
+                                     budget, samples, random_element)
+    params = dict(params or {}, arity=arity, basis_size=len(elements),
+                  max_tuples=budget, samples=samples, seed=seed)
+    return run_check(name, params, cases, exhaustive, residual, text)

@@ -19,8 +19,7 @@ from itertools import combinations
 from math import comb
 
 from .cocycles import (closed_pair_cocycle, contraction_cocycle,
-                       divergence_cochain, divfree_basis,
-                       divfree_witness_search, form_trace_cocycle,
+                       divergence_cochain, divfree_basis, form_trace_cocycle,
                        gauge_form_trace, gauge_odd_trace, gauge_reduced_trace,
                        odd_trace_cocycle, reduced_trace_cocycle,
                        scalar_trace_cocycle, wedge_pair_cocycle)
@@ -32,12 +31,12 @@ from .extensions import (ExtensionSetup, antisymmetry_check, jacobi_check,
                          virasoro_twist)
 from .fields import (VectorField, check_maurer_cartan, crossed_hom_residual,
                      divergence, neg_jacobian)
-from .forms import (FormClass, PForm, de_rham_dims, ext_d, lie_derive,
-                    reduce_mod_exact)
+from .forms import (_MAX_WEIGHT, FormClass, PForm, de_rham_dims, ext_d,
+                    lie_derive, reduce_mod_exact)
 from .reports import CheckReport, RunConfig
 from .rings import AFFINE, TORUS, RingElement
-from .sampling import (basis_fields, derive_seed, model_modes, random_field,
-                       random_scalar, run_check, seeded_cases)
+from .sampling import (basis_fields, check_rng, model_modes, random_field,
+                       random_scalar, run_check, seeded_check)
 
 SUITE_NAMES = ("crossed-hom", "cocycles", "relations", "gauge", "formal",
                "extensions")
@@ -61,19 +60,28 @@ def _cocycle(cfg: RunConfig, cochain: Cochain, name: str,
                       name=name)
 
 
+def _trace_cocycles(cfg: RunConfig, model: str, ks, prefix: str,
+                    radius: int | None = None) -> list[CheckReport]:
+    """d = 0 for scalar_trace[k], form_trace[k] (k <= dim) and
+    reduced_trace[k], named prefix:<cochain name>."""
+    reports = []
+    for k in ks:
+        for family in (scalar_trace_cocycle, form_trace_cocycle,
+                       reduced_trace_cocycle):
+            if family is not form_trace_cocycle or k <= cfg.dim:
+                c = family(k, cfg.dim, model)
+                reports.append(_cocycle(cfg, c, f"{prefix}:{c.name}", radius))
+    return reports
+
+
 def check_identity(name: str, elements, arity: int, residual_fn, cfg: RunConfig,
                    random_element=None, params: dict | None = None,
                    budget: int | None = None) -> CheckReport:
     """Exact identity residual_fn(args) = 0 over basis tuples plus samples."""
-    rng = random.Random(derive_seed(cfg.seed, name))
-    budget = budget if budget is not None else _tuple_budget(cfg, arity)
-    params = dict(params or {})
-    params.update({"arity": arity, "basis_size": len(elements),
-                   "seed": cfg.seed, "samples": cfg.samples})
-    samples = cfg.samples if random_element is not None else 0
-    cases, exhaustive = seeded_cases(rng, elements, arity, budget, samples,
-                                     random_element)
-    return run_check(name, params, cases, exhaustive, residual_fn)
+    return seeded_check(
+        name, elements, arity, residual_fn, seed=cfg.seed,
+        budget=budget if budget is not None else _tuple_budget(cfg, arity),
+        samples=cfg.samples, random_element=random_element, params=params)
 
 
 # -- crossed-hom ---------------------------------------------------------------
@@ -82,69 +90,44 @@ def check_identity(name: str, elements, arity: int, residual_fn, cfg: RunConfig,
 def _crossed_hom(cfg: RunConfig, model: str, name: str) -> CheckReport:
     """theta([X,Y]) = [theta X, theta Y] + X.theta(Y) - Y.theta(X) for
     theta = neg_jacobian, on basis pairs plus random pairs."""
-    rng = random.Random(derive_seed(cfg.seed, name))
-    cases, exhaustive = seeded_cases(
-        rng, basis_fields(model, cfg.dim, cfg.radius), 2, cfg.max_tuples,
-        cfg.samples, lambda rng: random_field(rng, model, cfg.dim, cfg.radius))
-    return run_check(name, {"dim": cfg.dim, "radius": cfg.radius,
-                            "seed": cfg.seed, "samples": cfg.samples},
-                     cases, exhaustive,
-                     lambda x, y: crossed_hom_residual(neg_jacobian, x, y))
+    return check_identity(
+        name, basis_fields(model, cfg.dim, cfg.radius), 2,
+        lambda x, y: crossed_hom_residual(neg_jacobian, x, y), cfg,
+        random_element=lambda rng: random_field(rng, model, cfg.dim, cfg.radius),
+        params={"dim": cfg.dim, "radius": cfg.radius})
 
 
 def _kernel_check(model: str, cfg: RunConfig) -> CheckReport:
-    """The crossed homomorphism kills exactly the constant frame fields."""
-    start = time.perf_counter()
-    n = cfg.dim
-    name = f"crossed-hom:{model}:kernel"
-    for j in range(1, n + 1):
-        image = neg_jacobian(VectorField.basis(n, model, (0,) * n, j))
-        if not image.is_zero():
-            return CheckReport(
-                name=name, status="fail", tuples=j,
-                witness={"field": f"constant direction {j}",
-                         "residual": image.text()},
-                wall_ms=(time.perf_counter() - start) * 1000.0)
-    nonconstant = None
-    for x in basis_fields(model, n, cfg.radius):
-        if any(mode != (0,) * n for f in x.coeffs for mode in f.terms):
-            if not neg_jacobian(x).is_zero():
-                nonconstant = x
-                break
-    if nonconstant is None:
-        return CheckReport(
-            name=name, status="fail", tuples=n,
-            witness={"reason": "no nonconstant field with nonzero image"},
-            wall_ms=(time.perf_counter() - start) * 1000.0)
-    return CheckReport(
-        name=name, status="pass", tuples=n + 1,
-        data={"nonconstant_example": nonconstant.text(),
-              "image": neg_jacobian(nonconstant).text()},
-        wall_ms=(time.perf_counter() - start) * 1000.0)
+    """The crossed homomorphism kills exactly the constant frame fields:
+    it vanishes on each of them, and a nonconstant basis field with
+    nonzero image exists."""
+    n, zero = cfg.dim, (0,) * cfg.dim
+    name, params = f"crossed-hom:{model}:kernel", {"dim": n, "radius": cfg.radius}
+    constants = run_check(name, params, ((VectorField.basis(n, model, zero, j),)
+                                         for j in range(1, n + 1)),
+                          True, neg_jacobian)
+    if not constants.passed():
+        return constants
+    report = run_check(
+        name, params, ((x,) for x in basis_fields(model, n, cfg.radius)
+                       if any(mode != zero for f in x.coeffs for mode in f.terms)),
+        True, neg_jacobian, search="no nonconstant field with nonzero image")
+    report.tuples += constants.tuples
+    report.wall_ms += constants.wall_ms
+    return report
 
 
 def _sign_discrimination(model: str, cfg: RunConfig) -> CheckReport:
     """Flipping the sign of the crossed homomorphism must break the identity
     somewhere; passes when a violating pair is found (needs dim >= 2 so
     that frame Jacobians can fail to commute)."""
-    start = time.perf_counter()
-    name = f"crossed-hom:{model}:sign-discrimination"
     flipped = lambda x: neg_jacobian(x).scale(-1)  # noqa: E731
-    fields_list = basis_fields(model, cfg.dim, cfg.radius)
-    count = 0
-    for i, j in combinations(range(len(fields_list)), 2):
-        count += 1
-        residual = crossed_hom_residual(flipped, fields_list[i], fields_list[j])
-        if not residual.is_zero():
-            return CheckReport(
-                name=name, status="pass", tuples=count,
-                data={"x": fields_list[i].text(), "y": fields_list[j].text(),
-                      "residual": residual.text()},
-                wall_ms=(time.perf_counter() - start) * 1000.0)
-    return CheckReport(
-        name=name, status="fail", tuples=count,
-        witness={"reason": "sign flip never violated the identity"},
-        wall_ms=(time.perf_counter() - start) * 1000.0)
+    return run_check(
+        f"crossed-hom:{model}:sign-discrimination",
+        {"dim": cfg.dim, "radius": cfg.radius},
+        combinations(basis_fields(model, cfg.dim, cfg.radius), 2), True,
+        lambda x, y: crossed_hom_residual(flipped, x, y),
+        search="sign flip never violated the identity")
 
 
 def suite_crossed_hom(cfg: RunConfig) -> list[CheckReport]:
@@ -177,21 +160,13 @@ def _divfree_vanishing(cfg: RunConfig) -> CheckReport:
 
 
 def _divfree_witness(cfg: RunConfig) -> CheckReport:
-    start = time.perf_counter()
-    name = "cocycle:divfree:reduced-trace-2-witness"
-    found = divfree_witness_search(cfg.dim, cfg.radius)
-    if found is None:
-        return CheckReport(
-            name=name, status="fail",
-            witness={"reason": "no divergence-free pair with nonzero value "
-                               f"in the radius-{cfg.radius} box"},
-            wall_ms=(time.perf_counter() - start) * 1000.0)
-    x, y, value = found
-    return CheckReport(
-        name=name, status="pass", tuples=1,
-        data={"x": x.text(), "y": y.text(), "value": value.text()},
-        params={"dim": cfg.dim, "radius": cfg.radius},
-        wall_ms=(time.perf_counter() - start) * 1000.0)
+    return run_check(
+        "cocycle:divfree:reduced-trace-2-witness",
+        {"dim": cfg.dim, "radius": cfg.radius},
+        combinations(divfree_basis(cfg.dim, TORUS, cfg.radius), 2), True,
+        reduced_trace_cocycle(2, cfg.dim, TORUS).evaluate,
+        search="no divergence-free pair with nonzero value "
+               f"in the radius-{cfg.radius} box")
 
 
 def _closed_pair_instances(n: int, model: str) -> list[Cochain]:
@@ -216,14 +191,7 @@ def _closed_pair_instances(n: int, model: str) -> list[Cochain]:
 
 def suite_cocycles(cfg: RunConfig) -> list[CheckReport]:
     n, model = cfg.dim, cfg.model
-    reports = []
-    for k in range(1, n + 1):
-        reports.append(_cocycle(cfg, scalar_trace_cocycle(k, n, model),
-                                f"cocycle:{model}:scalar_trace[{k}]"))
-        reports.append(_cocycle(cfg, form_trace_cocycle(k, n, model),
-                                f"cocycle:{model}:form_trace[{k}]"))
-        reports.append(_cocycle(cfg, reduced_trace_cocycle(k, n, model),
-                                f"cocycle:{model}:reduced_trace[{k}]"))
+    reports = _trace_cocycles(cfg, model, range(1, n + 1), f"cocycle:{model}")
     reports.append(_cocycle(cfg, divergence_cochain(n, model),
                             f"cocycle:{model}:divergence"))
     for p in (1, 2):
@@ -250,23 +218,7 @@ def suite_cocycles(cfg: RunConfig) -> list[CheckReport]:
                 cfg, gauge_reduced_trace(k, ctx),
                 f"cocycle:{model}:{label}:gauge_reduced_trace[{k}]"))
     if model == TORUS:
-        for k in (1, 2):
-            reports.append(is_cocycle(
-                scalar_trace_cocycle(k, n, AFFINE), radius=3,
-                samples=cfg.samples, seed=cfg.seed,
-                max_tuples=_tuple_budget(cfg, 2 * k),
-                name=f"cocycle:affine:scalar_trace[{k}]"))
-            if k <= n:
-                reports.append(is_cocycle(
-                    form_trace_cocycle(k, n, AFFINE), radius=3,
-                    samples=cfg.samples, seed=cfg.seed,
-                    max_tuples=_tuple_budget(cfg, k + 1),
-                    name=f"cocycle:affine:form_trace[{k}]"))
-            reports.append(is_cocycle(
-                reduced_trace_cocycle(k, n, AFFINE), radius=3,
-                samples=cfg.samples, seed=cfg.seed,
-                max_tuples=_tuple_budget(cfg, k + 1),
-                name=f"cocycle:affine:reduced_trace[{k}]"))
+        reports += _trace_cocycles(cfg, AFFINE, (1, 2), "cocycle:affine", radius=3)
         if n >= 2:
             reports.append(_divfree_vanishing(cfg))
             reports.append(_divfree_witness(cfg))
@@ -290,8 +242,10 @@ def _de_rham_check(name: str, model: str, n: int, radius: int = 2) -> CheckRepor
                            wall_ms=(time.perf_counter() - start) * 1000.0)
     status = "pass" if got == expected else "fail"
     witness = None if status == "pass" else {"expected": expected, "got": got}
+    params = ({"dim": n, "radius": radius} if model == TORUS
+              else {"dim": n, "max_weight": _MAX_WEIGHT})
     return CheckReport(name=name, status=status, tuples=n + 1, witness=witness,
-                       data={"dims": got}, params={"dim": n},
+                       data={"dims": got}, params=params,
                        wall_ms=(time.perf_counter() - start) * 1000.0)
 
 
@@ -309,35 +263,20 @@ def _random_form(rng: random.Random, model: str, n: int, degree: int,
 def _representative_independence(cfg: RunConfig, model: str,
                                  prefix: str = "relation") -> CheckReport:
     """reduce(w + d eta) = reduce(w), and reduce is idempotent."""
-    start = time.perf_counter()
     n = cfg.dim
     name = f"{prefix}:quotient-well-defined:{model}"
-    rng = random.Random(derive_seed(cfg.seed, name))
-    count = 0
-    for p in range(1, n + 1):
-        for _ in range(cfg.samples):
-            count += 1
-            w = _random_form(rng, model, n, p, cfg.radius)
-            eta = _random_form(rng, model, n, p - 1, cfg.radius)
-            shifted = reduce_mod_exact(w + ext_d(eta))
-            base = reduce_mod_exact(w)
-            if shifted != base:
-                return CheckReport(
-                    name=name, status="fail", tuples=count,
-                    witness={"form": w.text(), "eta": eta.text(),
-                             "shifted": shifted.text(), "base": base.text()},
-                    wall_ms=(time.perf_counter() - start) * 1000.0)
-            again = reduce_mod_exact(base.rep)
-            if again != base:
-                return CheckReport(
-                    name=name, status="fail", tuples=count,
-                    witness={"form": w.text(), "reduced": base.text(),
-                             "re-reduced": again.text()},
-                    wall_ms=(time.perf_counter() - start) * 1000.0)
-    return CheckReport(name=name, status="pass", tuples=count,
-                       params={"dim": n, "radius": cfg.radius,
-                               "seed": cfg.seed, "samples": cfg.samples},
-                       wall_ms=(time.perf_counter() - start) * 1000.0)
+    rng = check_rng(cfg.seed, name)
+    cases = ((_random_form(rng, model, n, p, cfg.radius),
+              _random_form(rng, model, n, p - 1, cfg.radius))
+             for p in range(1, n + 1) for _ in range(cfg.samples))
+
+    def residual(w, eta):
+        base = reduce_mod_exact(w)
+        shifted = reduce_mod_exact(w + ext_d(eta)) - base
+        return shifted if not shifted.is_zero() else reduce_mod_exact(base.rep) - base
+
+    return run_check(name, {"dim": n, "radius": cfg.radius, "seed": cfg.seed,
+                            "samples": cfg.samples}, cases, False, residual)
 
 
 def suite_relations(cfg: RunConfig) -> list[CheckReport]:
@@ -469,14 +408,7 @@ def suite_formal(cfg: RunConfig) -> list[CheckReport]:
     n = cfg.dim
     reports = []
     reports.append(_crossed_hom(cfg, AFFINE, "formal:crossed-hom"))
-    for k in (1, 2):
-        reports.append(_cocycle(cfg, scalar_trace_cocycle(k, n, AFFINE),
-                                f"formal:cocycle:scalar_trace[{k}]"))
-        if k <= n:
-            reports.append(_cocycle(cfg, form_trace_cocycle(k, n, AFFINE),
-                                    f"formal:cocycle:form_trace[{k}]"))
-        reports.append(_cocycle(cfg, reduced_trace_cocycle(k, n, AFFINE),
-                                f"formal:cocycle:reduced_trace[{k}]"))
+    reports += _trace_cocycles(cfg, AFFINE, (1, 2), "formal:cocycle")
     reports.append(_cocycle(cfg, divergence_cochain(n, AFFINE),
                             "formal:cocycle:divergence"))
 
@@ -541,17 +473,12 @@ def suite_extensions(cfg: RunConfig) -> list[CheckReport]:
                 ExtensionSetup(ctx, kf, twist), radius=cfg.radius, samples=200,
                 seed=cfg.seed, max_tuples=min(cfg.max_tuples, 1200),
                 name=f"extension:jacobi:{label}"))
-        start = time.perf_counter()
-        plus = VectorField.basis(1, TORUS, (1,), 1)
-        minus = VectorField.basis(1, TORUS, (-1,), 1)
-        value = virasoro_twist().evaluate(plus, minus)
-        reports.append(CheckReport(
-            name="extension:virasoro-nontrivial",
-            status="pass" if not value.is_zero() else "fail", tuples=1,
-            witness=None if not value.is_zero() else
-            {"reason": "twist vanished on the lowest mode pair"},
-            data={"x": plus.text(), "y": minus.text(), "value": value.text()},
-            wall_ms=(time.perf_counter() - start) * 1000.0))
+        reports.append(run_check(
+            "extension:virasoro-nontrivial", {},
+            [(VectorField.basis(1, TORUS, (1,), 1),
+              VectorField.basis(1, TORUS, (-1,), 1))], True,
+            virasoro_twist().evaluate,
+            search="twist vanished on the lowest mode pair"))
     else:
         ctx = GaugeContext(lie, rep, n, model)
         twists: list[tuple[str, Cochain | None]] = [

@@ -17,11 +17,11 @@ from vfcoho import (TORUS, PForm, RingElement, RunConfig, betti_numbers,
                     FiniteLieAlgebra, ext_d, haefliger_dims, partition,
                     reduce_mod_exact, vey_basis, weil_betti,
                     wedge_pair_cocycle)
-from vfcoho.cocycles import divfree_basis, divfree_witness_search
+from vfcoho.cocycles import divfree_basis
 from vfcoho.forms import is_exact
 from vfcoho.reports import strip_timing, dumps
 from vfcoho.rings import box_modes
-from vfcoho.suites import all_passed, flatten, run_suites
+from vfcoho.suites import _divfree_witness, all_passed, flatten, run_suites
 from vfcoho.weil import max_degree
 
 
@@ -153,12 +153,10 @@ def test_criterion_07_divergence_free_restriction(golden):
     ok = bool(fields)
     for x, y in combinations(fields, 2):
         ok = ok and wp.evaluate(x, y).is_zero()
-    witness = divfree_witness_search(2, 2)
-    ok = ok and witness is not None
-    if witness:
-        x, y, value = witness
-        ok = ok and not value.is_zero()
-        ok = ok and value.text() == golden["divfree_witness"]["value"]
+    witness = _divfree_witness(RunConfig(dim=2, radius=2))
+    ok = ok and witness.passed()
+    if witness.passed():
+        ok = ok and witness.data["value"] == golden["divfree_witness"]["value"]
     _verdict(7, "divergence-free restriction", ok)
 
 

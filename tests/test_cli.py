@@ -131,7 +131,7 @@ def test_out_flag_writes_the_document(tmp_path):
                   "--out", str(target))
     assert out.returncode == 0
     doc = json.loads(target.read_text())
-    assert "sections" in doc
+    assert "checks" in doc
 
 
 def test_planted_defect_fails_the_run_with_witness():

@@ -13,10 +13,11 @@ from vfcoho import (AFFINE, TORUS, FiniteLieAlgebra, GaugeContext,
                     reduce_mod_exact, reduced_trace_cocycle,
                     scalar_trace_cocycle, wedge_pair_cocycle)
 from vfcoho.cocycles import (closed_pair_cocycle, divfree_basis,
-                             divfree_witness_search,
                              h2_reduced_one_form_generators, perm_sign)
 from vfcoho.cohomology import gl_defining_rep, sl2_defining_rep
+from vfcoho.reports import RunConfig
 from vfcoho.sampling import random_field
+from vfcoho.suites import _divfree_witness
 
 
 def basis(mode, j, n=2, model=TORUS):
@@ -191,13 +192,18 @@ def test_divergence_free_fields_kill_the_wedge_pair():
 
 
 def test_divergence_free_witness_is_stable(golden):
-    x, y, value = divfree_witness_search(2, 2)
+    report = _divfree_witness(RunConfig(dim=2, radius=2))
+    assert report.passed()
+    x_text, y_text = report.data["args"]
     expected = golden["divfree_witness"]
-    assert x.text() == expected["x"]
-    assert y.text() == expected["y"]
-    assert value.text() == expected["value"]
+    assert x_text == expected["x"]
+    assert y_text == expected["y"]
+    assert report.data["value"] == expected["value"]
+    by_text = {f.text(): f for f in divfree_basis(2, TORUS, 2)}
+    x, y = by_text[x_text], by_text[y_text]
     assert divergence(x).is_zero() and divergence(y).is_zero()
-    assert reduced_trace_cocycle(2, 2, TORUS).evaluate(x, y) == value
+    value = reduced_trace_cocycle(2, 2, TORUS).evaluate(x, y)
+    assert value.text() == expected["value"]
 
 
 def test_reduction_commutes_with_the_form_family():

@@ -7,14 +7,15 @@ from math import comb
 import pytest
 
 from vfcoho import (AFFINE, TORUS, Cochain, ExtensionSetup, FiniteLieAlgebra,
-                    GaugeContext, MismatchError, RingElement, RunConfig,
-                    VectorField, betti_numbers, cochain_differential,
+                    FormClass, GaugeContext, MismatchError, PForm, RingElement,
+                    RunConfig, VectorField, betti_numbers, cochain_differential,
                     divergence, is_cocycle, neg_jacobian)
+from vfcoho import suites
 from vfcoho.cohomology import (ce_matrix, gl_defining_rep, is_equivariant,
                                matrix_to_gauge, sl2_defining_rep, validate_rep)
 from vfcoho.extensions import (antisymmetry_check, jacobi_check,
                                planted_noncocycle_twist, trace_form)
-from vfcoho.fields import crossed_hom_residual
+from vfcoho.fields import check_maurer_cartan, crossed_hom_residual
 from vfcoho.linalg import mat_mul
 from vfcoho.sampling import basis_fields, run_check
 from vfcoho.suites import check_identity
@@ -129,6 +130,20 @@ def _sign_flipped_crossed_hom():
                      lambda a, b: crossed_hom_residual(flipped, a, b))
 
 
+def _non_flat_coframe():
+    # d(t^(0,1) k1) = t^(0,1) k2 ^ k1 is not zero
+    coframe = [PForm.monomial(2, TORUS, (0, 1), (1,)), PForm.kappa(2, TORUS, 2)]
+    return check_maurer_cartan(coframe)
+
+
+def _unreduced_quotient():
+    # without the reduction, w + d eta and w give different classes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites, "reduce_mod_exact", FormClass)
+        return suites._representative_independence(
+            RunConfig(dim=2, radius=1, samples=5), TORUS)
+
+
 @pytest.mark.parametrize("make_report", [
     _non_equivariant_gauge_cochain,
     lambda: jacobi_check(_planted_setup(), radius=1, samples=20, max_tuples=50),
@@ -136,19 +151,32 @@ def _sign_flipped_crossed_hom():
                                max_tuples=50),
     _divergence_as_identity,
     _sign_flipped_crossed_hom,
+    _non_flat_coframe,
+    _unreduced_quotient,
 ], ids=["is_equivariant", "jacobi_check", "antisymmetry_check",
-        "check_identity", "run_check-crossed-hom"])
+        "check_identity", "run_check-crossed-hom", "check_maurer_cartan",
+        "representative_independence"])
 def test_every_check_fails_on_a_planted_defect_with_one_witness_shape(make_report):
     report = make_report()
     assert not report.passed() and report.tuples >= 1
     assert set(report.witness) == {"args", "residual"}
-    assert report.witness["residual"] != "0"
+    assert report.witness["residual"] not in ("0", "[0]")
 
 
 def test_a_check_that_saw_no_tuple_fails():
     report = run_check("empty", {}, [], True, lambda *args: 1)
     assert not report.passed() and report.tuples == 0
     assert report.witness == {"reason": "no tuples checked"}
+    # the search form fails when no case gives a nonzero value, and passes
+    # at the first case that does
+    report = run_check("search", {}, [(1,), (2,)], True, lambda a: 0, str,
+                       search="always zero")
+    assert not report.passed() and report.tuples == 2
+    assert report.witness == {"reason": "always zero"}
+    report = run_check("search", {}, [(1,), (2,), (3,)], True,
+                       lambda a: a - 1, str, search="always zero")
+    assert report.passed() and report.tuples == 2 and report.witness is None
+    assert report.data == {"args": ["2"], "value": "1"}
 
 
 def test_contraction_against_closed_coframe_is_a_cocycle():
