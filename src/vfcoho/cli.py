@@ -17,12 +17,13 @@ import time
 from . import __version__
 from .reports import (SCHEMA_VERSION, RunConfig, dumps, env_default,
                       render_text)
-from .rings import AFFINE, TORUS
+from .rings import MODELS, TORUS
 from .suites import SUITE_NAMES, all_passed, flatten, run_suites
 from .weil import (haefliger_dims, monomial_degree, monomial_text,
                    paper_dimension_tables, vey_basis, weil_betti)
 
 TABLE_NAMES = ("weil", "haefliger", "paper-dims", "vey")
+FORMATS = ("text", "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=int, default=env_default("dim", 2),
                        help="number of frame directions N (default 2)")
-        p.add_argument("--model", choices=(TORUS, AFFINE),
+        p.add_argument("--model", choices=MODELS,
                        default=env_default("model", TORUS, str),
                        help="coefficient model (default torus)")
         p.add_argument("--radius", type=int, default=env_default("radius", 2),
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random tuples per check (default 100)")
         p.add_argument("--seed", type=int, default=env_default("seed", 7),
                        help="PRNG seed (Mersenne Twister; default 7)")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"),
+        p.add_argument("--format", dest="fmt", choices=FORMATS,
                        default=env_default("format", "text", str))
         p.add_argument("--out", default=env_default("out", None, str),
                        help="write output to this path instead of stdout")
@@ -194,6 +195,12 @@ def cmd_report(cfg: RunConfig, suites: list[str] | None) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse checks `choices` only on values given as flags, not on the
+    # VFCOHO_* defaults
+    if args.model not in MODELS:
+        parser.error(f"--model must be one of {', '.join(MODELS)}")
+    if args.fmt not in FORMATS:
+        parser.error(f"--format must be one of {', '.join(FORMATS)}")
     if args.dim < 1:
         parser.error("--dim must be >= 1")
     if args.radius < 1:

@@ -11,9 +11,15 @@ and the exterior calculus of the frame:
   (m-1)! rotation classes of m equal terms, one per ordering that starts
   with X_1.  The identity is exact, not an approximation.
 * form_trace_cocycle(k): k-cochain valued in k-forms, alternating sum of
-  Tr(du(X_1) ^ ... ^ du(X_k)).
+  Tr(du(X_1) ^ ... ^ du(X_k)).  With du(X) a `MatrixFunction` of 1-forms
+  this is Tr S_k(du(X_1), ..., du(X_k)) as it stands: the standard
+  polynomial is that alternating sum of wedge products.
 * reduced_trace_cocycle(k): k-cochain valued in (k-1)-forms modulo exact,
-  alternating sum of [Tr(u(X_1) du(X_2) ^ ... ^ du(X_k))].  Applying the
+  alternating sum of [Tr(u(X_1) du(X_2) ^ ... ^ du(X_k))].  Grouping the
+  orderings by their first argument X_i, whose place costs the sign
+  (-1)^i, gives sum_i (-1)^i Tr(u(X_i) S_{k-1}(du(X_j), j != i)): the
+  first-factor expansion of S_k with u(X_i) as the leftmost factor, which
+  uses associativity only and no cyclicity of the trace.  Applying the
   exterior differential to its representatives gives form_trace_cocycle.
 * contraction_cocycle(omega, p): iterated interior product of a closed
   form, [i_{X_p} ... i_{X_1} omega].
@@ -41,8 +47,6 @@ from .forms import FormClass, PForm, contract, ext_d, reduce_mod_exact
 from .linalg import mat_mul
 from .rings import MismatchError, RingElement, box_modes
 
-FormMatrix = dict[tuple[int, int], PForm]
-
 
 def perm_sign(perm: Sequence[int]) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
@@ -50,121 +54,80 @@ def perm_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _theta_form(x: VectorField) -> FormMatrix:
-    return {key: PForm.from_ring(f) for key, f in neg_jacobian(x).entries.items()}
+def _standard_polynomial(mats: Sequence[MatrixFunction],
+                         first: Sequence[MatrixFunction] | None = None) -> MatrixFunction:
+    """S_r(A_1, ..., A_r) = sum over orderings of sgn * A_s(1) ... A_s(r).
 
+    Expanded along the first factor, S(T) = sum_{pos, i in T} (-1)^pos
+    A_i S(T minus i), with pos the place of i in T.  The partial sums are
+    memoised by subset, so each is built once; a zero one makes every
+    product taken with it an empty loop.  With `first`, the leftmost
+    factor of each ordering is F_s(1) instead of A_s(1).  Only
+    associativity is used, so the entries may be forms.
+    """
+    memo: dict[int, MatrixFunction] = {}
 
-def _d_theta_form(x: VectorField) -> FormMatrix:
-    out: FormMatrix = {}
-    for key, f in neg_jacobian(x).entries.items():
-        d = ext_d(PForm.from_ring(f))
-        if not d.is_zero():
-            out[key] = d
-    return out
-
-
-def _mat_wedge(a: FormMatrix, b: FormMatrix) -> FormMatrix:
-    out: FormMatrix = {}
-    for (i, k), wa in a.items():
-        for (k2, j), wb in b.items():
-            if k != k2:
-                continue
-            prod = wa.wedge(wb)
-            if prod.is_zero():
-                continue
-            prev = out.get((i, j))
-            total = prod if prev is None else prev + prod
-            if total.is_zero():
-                out.pop((i, j), None)
+    def standard(mask: int, heads: Sequence[MatrixFunction]) -> MatrixFunction:
+        total = None
+        for pos, i in enumerate(i for i in range(len(heads)) if mask >> i & 1):
+            rest = mask & ~(1 << i)
+            term = heads[i] @ tail(rest) if rest else heads[i]
+            if total is None:
+                total = term
             else:
-                out[(i, j)] = total
-    return out
+                total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    def tail(mask: int) -> MatrixFunction:
+        got = memo.get(mask)
+        if got is None:
+            got = memo[mask] = standard(mask, mats)
+        return got
+
+    return standard((1 << len(mats)) - 1, mats if first is None else first)
 
 
-def _mat_form_trace(a: FormMatrix, n: int, model: str, degree: int) -> PForm:
-    total = PForm.zero(n, model, degree)
-    for (i, j), w in a.items():
-        if i == j:
-            total = total + w
-    return total
+def _form_trace(m: MatrixFunction, degree: int) -> PForm:
+    return sum((w for (i, j), w in m.entries.items() if i == j),
+               PForm.zero(m.n, m.model, degree))
 
 
-def _chain_trace(mats: Sequence[FormMatrix], n: int, model: str, degree: int) -> PForm:
-    acc = mats[0]
-    for m in mats[1:]:
-        if not acc:
-            break
-        acc = _mat_wedge(acc, m)
-    return _mat_form_trace(acc, n, model, degree)
+def _theta_form(x: VectorField) -> MatrixFunction:
+    """u(X) with its entries as 0-forms."""
+    return neg_jacobian(x).entrywise(PForm.from_ring)
 
 
 def form_trace_cocycle(k: int, n: int, model: str) -> Cochain:
-    """k-cochain with k-form values: alternating Tr of wedges of du."""
+    """k-cochain with k-form values: Tr S_k(du(X_1), ..., du(X_k))."""
     if not 1 <= k <= n:
         raise MismatchError(f"form trace needs 1 <= k <= {n}, got {k}")
 
     def ev(*fields):
-        mats = [_d_theta_form(x) for x in fields]
-        total = PForm.zero(n, model, k)
-        if any(not m for m in mats):
-            return total
-        for perm in permutations(range(k)):
-            term = _chain_trace([mats[i] for i in perm], n, model, k)
-            total = total + term if perm_sign(perm) > 0 else total - term
-        return total
+        mats = [_theta_form(x).entrywise(ext_d) for x in fields]
+        if any(m.is_zero() for m in mats):
+            return PForm.zero(n, model, k)
+        return _form_trace(_standard_polynomial(mats), k)
 
     return Cochain(f"form_trace[{k}]", k, ev, "fields", "form", n, model,
                    value_degree=k, spec={"k": k})
 
 
 def reduced_trace_cocycle(k: int, n: int, model: str) -> Cochain:
-    """k-cochain valued in (k-1)-forms mod exact: [Tr(u du ... du)]."""
+    """k-cochain valued in (k-1)-forms mod exact:
+    [Tr S_k(du(X_1), ..., du(X_k)) with u(X_s(1)) as the first factor]."""
     if not (1 <= k and k - 1 <= n):
         raise MismatchError(f"reduced trace needs k - 1 <= {n}, got {k}")
 
     def ev(*fields):
+        if k == 1:
+            return reduce_mod_exact(PForm.from_ring(neg_jacobian(fields[0]).trace()))
         thetas = [_theta_form(x) for x in fields]
-        if all(not m for m in thetas):
-            return FormClass.zero(n, model, k - 1)
-        dthetas = [_d_theta_form(x) for x in fields] if k > 1 else []
-        total = PForm.zero(n, model, k - 1)
-        for perm in permutations(range(k)):
-            chain = [thetas[perm[0]]] + [dthetas[i] for i in perm[1:]]
-            term = _chain_trace(chain, n, model, k - 1)
-            total = total + term if perm_sign(perm) > 0 else total - term
-        return reduce_mod_exact(total)
+        dthetas = [t.entrywise(ext_d) for t in thetas]
+        return reduce_mod_exact(
+            _form_trace(_standard_polynomial(dthetas, first=thetas), k - 1))
 
     return Cochain(f"reduced_trace[{k}]", k, ev, "fields", "class", n, model,
                    value_degree=k - 1, spec={"k": k})
-
-
-def _standard_polynomial(mats: Sequence[MatrixFunction]) -> MatrixFunction:
-    """S_r(A_1, ..., A_r) = sum over orderings of sgn * A_s(1) ... A_s(r).
-
-    Expanded along the first factor, S(T) = sum_{pos, i in T} (-1)^pos
-    A_i S(T minus i), with pos the place of i in T.  The partial sums are
-    memoised by subset, so each is built once; a zero one makes every
-    product taken with it an empty loop.
-    """
-    memo: dict[int, MatrixFunction] = {}
-
-    def standard(mask: int) -> MatrixFunction:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        total = MatrixFunction(mats[0].n, mats[0].model, size=mats[0].size)
-        pos = 0
-        for i, a in enumerate(mats):
-            if not mask >> i & 1:
-                continue
-            rest = mask & ~(1 << i)
-            term = a @ standard(rest) if rest else a
-            total = total + term if pos % 2 == 0 else total - term
-            pos += 1
-        memo[mask] = total
-        return total
-
-    return standard((1 << len(mats)) - 1)
 
 
 def scalar_trace_cocycle(k: int, n: int, model: str) -> Cochain:

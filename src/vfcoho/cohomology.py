@@ -13,8 +13,9 @@ derivative; gauge and finite domains treat values as trivial modules.
 
 `betti_numbers` computes full cohomology of a finite-dimensional algebra
 with trivial coefficients by exact rank counting, and `cochain_wedge`
-multiplies cochains by the shuffle sum, which agrees with the
-1/(p! q!)-normalized alternation over the whole symmetric group.
+multiplies a class-valued by a form-valued cochain by the shuffle sum,
+which agrees with the 1/(p! q!)-normalized alternation over the whole
+symmetric group.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from operator import methodcaller
 from typing import Callable, Sequence
 
 from .fields import MatrixFunction, VectorField, field_action
-from .forms import FormClass, PForm, _insert_sign, lie_derive, reduce_mod_exact
+from .forms import (FormClass, PForm, _insert_sign, ext_d, lie_derive,
+                    reduce_mod_exact)
 from .linalg import cohomology_dims, mat_mul, sparse_matrix
 from .reports import CheckReport
 from .rings import MismatchError, RingElement, as_scalar
@@ -398,6 +400,33 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
         params=dict(cochain.spec_dict(), radius=radius), text=text)
 
 
+def check_maurer_cartan(coframe: Sequence[PForm],
+                        structure: Sequence[Sequence[Sequence]] | None = None,
+                        name: str = "maurer_cartan",
+                        params: dict | None = None) -> CheckReport:
+    """Check d kappa^a + 1/2 sum c^a_{bc} kappa^b ^ kappa^c = 0.
+
+    `structure[b][c][a]` are structure constants; None means abelian.
+    The frame coframe is closed and abelian, so it passes with zero
+    structure; a non-flat coframe yields an explicit failing residual.
+    """
+    k = len(coframe)
+
+    def residual(a: int) -> PForm:
+        out = ext_d(coframe[a])
+        if structure is not None:
+            for b in range(k):
+                for c in range(k):
+                    coeff = structure[b][c][a]
+                    if coeff:
+                        out = out + coframe[b].wedge(coframe[c]).scale(
+                            Fraction(coeff, 2))
+        return out
+
+    return run_check(name, params or {}, ((a,) for a in range(k)), True,
+                     residual, lambda a: coframe[a].text())
+
+
 # -- finite-dimensional cohomology ------------------------------------------
 
 
@@ -434,56 +463,34 @@ def betti_numbers(lie: FiniteLieAlgebra) -> list[int]:
 # -- cochain products ---------------------------------------------------------
 
 
-def default_multiply(left: Cochain, right: Cochain) -> tuple[Callable, str, int | None]:
-    """Multiplication on values for `cochain_wedge`, chosen by value kinds."""
-    lv, rv = left.values, right.values
-    if (lv, rv) == ("ring", "ring"):
-        return (lambda a, b: a * b), "ring", None
-    if (lv, rv) == ("scalar", "scalar"):
-        return (lambda a, b: a * b), "scalar", None
-    if (lv, rv) == ("ring", "form"):
-        return (lambda a, b: b.mul_ring(a)), "form", right.value_degree
-    if (lv, rv) == ("form", "ring"):
-        return (lambda a, b: a.mul_ring(b)), "form", left.value_degree
-    if (lv, rv) == ("form", "form"):
-        deg = (left.value_degree or 0) + (right.value_degree or 0)
-        return (lambda a, b: a.wedge(b)), "form", deg
-    if (lv, rv) == ("class", "form"):
-        deg = (left.value_degree or 0) + (right.value_degree or 0)
-        return (lambda a, b: reduce_mod_exact(a.rep.wedge(b))), "class", deg
-    raise MismatchError(f"no default product for value kinds ({lv}, {rv})")
-
-
-def cochain_wedge(left: Cochain, right: Cochain, multiply: Callable | None = None,
-                  values: str | None = None, value_degree: int | None = None,
-                  name: str | None = None) -> Cochain:
-    """Shuffle-sum product of cochains.
+def cochain_wedge(left: Cochain, right: Cochain, name: str | None = None) -> Cochain:
+    """Shuffle-sum product of a class-valued and a form-valued cochain.
 
     (a ^ b)(x_1..x_{p+q}) = sum over (p,q)-shuffles sigma of
-    sgn(sigma) * multiply(a(x_{sigma(1..p)}), b(x_{sigma(p+1..p+q)})).
+    sgn(sigma) * [a(x_{sigma(1..p)}) ^ b(x_{sigma(p+1..p+q)})].
     """
     if left.domain != right.domain or left.n != right.n or left.model != right.model:
         raise MismatchError("wedge factors live on different domains")
-    if multiply is None:
-        multiply, values, value_degree = default_multiply(left, right)
-    elif values is None:
-        raise MismatchError("custom multiply requires explicit value kind")
+    if (left.values, right.values) != ("class", "form"):
+        raise MismatchError(
+            f"no product for value kinds ({left.values}, {right.values})")
+    value_degree = left.value_degree + right.value_degree
     p, q = left.degree, right.degree
 
     def ev(*args):
         if len(args) != p + q:
             raise MismatchError(f"expected {p + q} arguments")
-        total = zero_value(values, left.n, left.model, value_degree)
+        total = FormClass.zero(left.n, left.model, value_degree)
         for picks in combinations(range(p + q), p):
             rest = tuple(i for i in range(p + q) if i not in picks)
             sign = (-1) ** (sum(picks) - p * (p - 1) // 2)
-            val = multiply(left.evaluate(*(args[i] for i in picks)),
-                           right.evaluate(*(args[i] for i in rest)))
+            val = reduce_mod_exact(left.evaluate(*(args[i] for i in picks)).rep
+                                   .wedge(right.evaluate(*(args[i] for i in rest))))
             total = total + val if sign > 0 else total - val
         return total
 
     return Cochain(name or f"{left.name}^{right.name}", p + q, ev, left.domain,
-                   values, left.n, left.model, value_degree, left.ctx)
+                   "class", left.n, left.model, value_degree, left.ctx)
 
 
 # -- equivariance and pullback ------------------------------------------------

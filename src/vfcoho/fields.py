@@ -15,18 +15,20 @@ Jacobian of the coefficient vector in the frame.  It satisfies
 evaluate `crossed_hom_residual` on sampled pairs), and its kernel is
 exactly the constant fields.  Flipping the sign breaks the identity as
 soon as two Jacobians fail to commute: matrices sit in different rows.
+
+`MatrixFunction` is the one sparse matrix type: its entries are functions
+(`RingElement`) or forms (`PForm`), and the trace cocycles take the
+products of both kinds through the same `@`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .forms import PForm, ext_d
-from .reports import CheckReport
+from .forms import PForm
 from .rings import MODELS, MismatchError, RingElement, as_scalar
 
-MatrixEntries = dict[tuple[int, int], RingElement]
+MatrixEntries = dict[tuple[int, int], RingElement | PForm]
 
 
 class VectorField:
@@ -118,8 +120,12 @@ def field_action(x: VectorField, f: RingElement) -> RingElement:
 
 
 class MatrixFunction:
-    """Square matrix of ring elements, stored sparsely by (row, col), 0-based.
+    """Square matrix of functions or of forms, stored sparsely by
+    (row, col), 0-based.
 
+    Entries are all `RingElement`s or all `PForm`s over one ring; a product
+    multiplies entries with `*`, which is the wedge product for forms.
+    `trace` and `scale` take function entries only.
     Products of Jacobians of monomial fields stay single-row, so sparse
     storage is what keeps the trace cocycles cheap.  `size` is the matrix
     dimension; it defaults to the ring dimension `n` (the Jacobian case)
@@ -237,10 +243,18 @@ class MatrixFunction:
                 acc = acc + f
         return acc
 
+    def entrywise(self, fn: Callable) -> "MatrixFunction":
+        """The matrix of fn(entry), zero results dropped; fn must map valid
+        entries to valid entries (e.g. `PForm.from_ring`, `ext_d`)."""
+        entries = {}
+        for key, f in self.entries.items():
+            value = fn(f)
+            if not value.is_zero():
+                entries[key] = value
+        return MatrixFunction._trusted(self.n, self.model, entries, self.size)
+
     def apply_derivation(self, x: VectorField) -> "MatrixFunction":
-        return MatrixFunction(self.n, self.model,
-                              {k: field_action(x, f) for k, f in self.entries.items()},
-                              size=self.size)
+        return self.entrywise(lambda f: field_action(x, f))
 
     def text(self) -> str:
         rows = []
@@ -277,31 +291,3 @@ def crossed_hom_residual(theta: Callable[[VectorField], MatrixFunction],
     rhs = tx.commutator(ty) + ty.apply_derivation(x) - tx.apply_derivation(y)
     return lhs - rhs
 
-
-def check_maurer_cartan(coframe: Sequence[PForm],
-                        structure: Sequence[Sequence[Sequence]] | None = None,
-                        name: str = "maurer_cartan",
-                        params: dict | None = None) -> CheckReport:
-    """Check d kappa^a + 1/2 sum c^a_{bc} kappa^b ^ kappa^c = 0.
-
-    `structure[b][c][a]` are structure constants; None means abelian.
-    The frame coframe is closed and abelian, so it passes with zero
-    structure; a non-flat coframe yields an explicit failing residual.
-    """
-    from .sampling import run_check  # sampling imports this module
-
-    k = len(coframe)
-
-    def residual(a: int) -> PForm:
-        out = ext_d(coframe[a])
-        if structure is not None:
-            for b in range(k):
-                for c in range(k):
-                    coeff = structure[b][c][a]
-                    if coeff:
-                        out = out + coframe[b].wedge(coframe[c]).scale(
-                            Fraction(coeff, 2))
-        return out
-
-    return run_check(name, params or {}, ((a,) for a in range(k)), True,
-                     residual, lambda a: coframe[a].text())

@@ -232,6 +232,8 @@ class PForm:
                     out.pop(key, None)
         return PForm._trusted(self.n, self.model, deg, out)
 
+    __mul__ = wedge
+
     # -- serialization -------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Key, int | Fraction]]:
@@ -251,10 +253,6 @@ class PForm:
             else:
                 parts.append(f"{scalar_text(c)} * {body}")
         return " + ".join(parts)
-
-    def to_json(self) -> list:
-        return [[list(mode), list(subset), scalar_text(c)]
-                for (mode, subset), c in self.sorted_terms()]
 
 
 def wedge(a: PForm, b: PForm) -> PForm:
@@ -475,9 +473,6 @@ class FormClass:
 
     def text(self) -> str:
         return f"[{self.rep.text()}]"
-
-    def to_json(self) -> list:
-        return self.rep.to_json()
 
 
 def is_exact(w: PForm) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Mode = tuple[int, ...]
 
@@ -161,9 +161,6 @@ class RingElement:
 
     def sorted_terms(self) -> list[tuple[Mode, int | Fraction]]:
         return sorted(self.terms.items())
-
-    def __iter__(self) -> Iterator[tuple[Mode, int | Fraction]]:
-        return iter(self.terms.items())
 
     def __bool__(self) -> bool:
         return bool(self.terms)

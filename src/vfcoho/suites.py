@@ -24,13 +24,14 @@ from .cocycles import (closed_pair_cocycle, contraction_cocycle,
                        odd_trace_cocycle, reduced_trace_cocycle,
                        scalar_trace_cocycle, wedge_pair_cocycle)
 from .cohomology import (Cochain, FiniteLieAlgebra, GaugeContext,
-                         gl_defining_rep, is_cocycle, is_equivariant,
-                         pullback_by_crossed_hom, sl2_defining_rep)
+                         check_maurer_cartan, gl_defining_rep, is_cocycle,
+                         is_equivariant, pullback_by_crossed_hom,
+                         sl2_defining_rep)
 from .extensions import (ExtensionSetup, antisymmetry_check, jacobi_check,
                          killing_form, planted_noncocycle_twist, trace_form,
                          virasoro_twist)
-from .fields import (VectorField, check_maurer_cartan, crossed_hom_residual,
-                     divergence, neg_jacobian)
+from .fields import (VectorField, crossed_hom_residual, divergence,
+                     neg_jacobian)
 from .forms import (_MAX_WEIGHT, FormClass, PForm, de_rham_dims, ext_d,
                     lie_derive, reduce_mod_exact)
 from .reports import CheckReport, RunConfig
@@ -234,16 +235,16 @@ def _de_rham_check(name: str, model: str, n: int, radius: int = 2) -> CheckRepor
     start = time.perf_counter()
     expected = ([comb(n, p) for p in range(n + 1)] if model == TORUS
                 else [1] + [0] * n)
+    params = ({"dim": n, "radius": radius} if model == TORUS
+              else {"dim": n, "max_weight": _MAX_WEIGHT})
     try:
         got = de_rham_dims(model, n, radius)
     except AssertionError as exc:
         return CheckReport(name=name, status="fail",
-                           witness={"reason": str(exc)},
+                           witness={"reason": str(exc)}, params=params,
                            wall_ms=(time.perf_counter() - start) * 1000.0)
     status = "pass" if got == expected else "fail"
     witness = None if status == "pass" else {"expected": expected, "got": got}
-    params = ({"dim": n, "radius": radius} if model == TORUS
-              else {"dim": n, "max_weight": _MAX_WEIGHT})
     return CheckReport(name=name, status=status, tuples=n + 1, witness=witness,
                        data={"dims": got}, params=params,
                        wall_ms=(time.perf_counter() - start) * 1000.0)
@@ -378,19 +379,13 @@ def suite_gauge(cfg: RunConfig) -> list[CheckReport]:
                             ("gl1", FiniteLieAlgebra.gl(1), gl_defining_rep(1))):
         ctx = GaugeContext(lie, rep, n, model)
         for k in (1, 2):
-            if k <= n:
-                c = gauge_form_trace(k, ctx)
+            forms = [gauge_form_trace(k, ctx)] if k <= n else []
+            for c in forms + [gauge_reduced_trace(k, ctx)]:
                 reports.append(_cocycle(cfg, c, f"gauge:{label}:cocycle:{c.name}"))
                 reports.append(is_equivariant(
                     c, radius=1, samples=min(cfg.samples, 50), seed=cfg.seed,
                     max_tuples=min(cfg.max_tuples, 150),
                     name=f"gauge:{label}:equivariance:{c.name}"))
-            c = gauge_reduced_trace(k, ctx)
-            reports.append(_cocycle(cfg, c, f"gauge:{label}:cocycle:{c.name}"))
-            reports.append(is_equivariant(
-                c, radius=1, samples=min(cfg.samples, 50), seed=cfg.seed,
-                max_tuples=min(cfg.max_tuples, 150),
-                name=f"gauge:{label}:equivariance:{c.name}"))
             c = gauge_odd_trace(k, ctx)
             reports.append(_cocycle(cfg, c, f"gauge:{label}:cocycle:{c.name}"))
             finite = odd_trace_cocycle(k, lie, rep)

@@ -48,6 +48,17 @@ def test_budgets_below_their_minimum_are_usage_errors(flags, env):
     assert "must be >=" in out.stderr
 
 
+@pytest.mark.parametrize("args, env", [
+    (("report", "--suites", "relations", "--dim", "1"), {"VFCOHO_MODEL": "banana"}),
+    (("table", "weil", "--dim", "1"), {"VFCOHO_FORMAT": "xml"}),
+], ids=["model-env", "format-env"])
+def test_environment_values_outside_the_choices_are_usage_errors(args, env):
+    out = run_cli(*args, env_extra=env)
+    assert out.returncode == 2
+    assert "must be one of" in out.stderr
+    assert out.stdout == ""
+
+
 def _schema_validator():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(files("vfcoho").joinpath("report_schema.json").read_text())

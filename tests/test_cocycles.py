@@ -1,7 +1,7 @@
 """The trace-of-Jacobian cocycle families and their exact relations."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from vfcoho import (AFFINE, TORUS, FiniteLieAlgebra, GaugeContext,
 from vfcoho.cocycles import (closed_pair_cocycle, divfree_basis,
                              h2_reduced_one_form_generators, perm_sign)
 from vfcoho.cohomology import gl_defining_rep, sl2_defining_rep
+from vfcoho.forms import wedge
 from vfcoho.reports import RunConfig
 from vfcoho.sampling import random_field
 from vfcoho.suites import _divfree_witness
@@ -95,6 +96,53 @@ def test_scalar_trace_matches_the_plain_alternating_sum():
                     value = cochain.evaluate(*fields)
                     assert value == expected, (model, n, k)
                     nonzero[k] += not value.is_zero()
+    assert all(count > 0 for count in nonzero.values()), nonzero
+
+
+def _alternating_form_trace(heads, tails, degree):
+    """sum over orderings s of sgn(s) Tr(F_s(1) ^ A_s(2) ^ ... ^ A_s(k)),
+    where F = heads and A = tails are dense matrices of forms."""
+    k, size = len(heads), len(heads[0])
+    total = None
+    for perm in permutations(range(k)):
+        chain = [heads[perm[0]]] + [tails[i] for i in perm[1:]]
+        for idx in product(range(size), repeat=k):
+            term = chain[0][idx[0]][idx[1 % k]]
+            for s in range(1, k):
+                term = wedge(term, chain[s][idx[s]][idx[(s + 1) % k]])
+            term = term if perm_sign(perm) > 0 else -term
+            total = term if total is None else total + term
+    assert total.degree == degree
+    return total
+
+
+def test_form_and_reduced_traces_match_the_plain_alternating_sums():
+    """Tr S_k(du), with u(X_s(1)) as first factor for the reduced family,
+    agrees exactly with the sum of sgn * Tr(du(X_s(1)) ^ ... ^ du(X_s(k)))
+    (resp. [Tr(u(X_s(1)) du(X_s(2)) ^ ...)]) over every ordering."""
+    rng = random.Random(43)
+    n = 3
+    nonzero = {(family, k): 0 for family in ("form", "reduced") for k in (1, 2, 3)}
+    for model in (TORUS, AFFINE):
+        for k in (1, 2, 3):
+            psi = form_trace_cocycle(k, n, model)
+            psibar = reduced_trace_cocycle(k, n, model)
+            for _ in range(4):
+                fields = [random_field(rng, model, n, 2, terms=rng.randint(1, 3))
+                          for _ in range(k)]
+                thetas = []
+                for x in fields:
+                    u = neg_jacobian(x)
+                    thetas.append([[PForm.from_ring(u.entry(i, j)) for j in range(n)]
+                                   for i in range(n)])
+                dthetas = [[[ext_d(w) for w in row] for row in t] for t in thetas]
+                value = psi.evaluate(*fields)
+                assert value == _alternating_form_trace(dthetas, dthetas, k), (model, k)
+                nonzero[("form", k)] += not value.is_zero()
+                value = psibar.evaluate(*fields)
+                expected = _alternating_form_trace(thetas, dthetas, k - 1)
+                assert value == reduce_mod_exact(expected), (model, k)
+                nonzero[("reduced", k)] += not value.is_zero()
     assert all(count > 0 for count in nonzero.values()), nonzero
 
 

@@ -11,11 +11,12 @@ from vfcoho import (AFFINE, TORUS, Cochain, ExtensionSetup, FiniteLieAlgebra,
                     RunConfig, VectorField, betti_numbers, cochain_differential,
                     divergence, is_cocycle, neg_jacobian)
 from vfcoho import suites
-from vfcoho.cohomology import (ce_matrix, gl_defining_rep, is_equivariant,
-                               matrix_to_gauge, sl2_defining_rep, validate_rep)
+from vfcoho.cohomology import (ce_matrix, check_maurer_cartan, gl_defining_rep,
+                               is_equivariant, matrix_to_gauge, sl2_defining_rep,
+                               validate_rep)
 from vfcoho.extensions import (antisymmetry_check, jacobi_check,
                                planted_noncocycle_twist, trace_form)
-from vfcoho.fields import check_maurer_cartan, crossed_hom_residual
+from vfcoho.fields import crossed_hom_residual
 from vfcoho.linalg import mat_mul
 from vfcoho.sampling import basis_fields, run_check
 from vfcoho.suites import check_identity

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfcoho import AFFINE, TORUS, PForm, RingElement, VectorField, neg_jacobian
-from vfcoho.fields import (check_maurer_cartan, crossed_hom_residual,
-                           divergence, field_action)
+from vfcoho.cohomology import check_maurer_cartan
+from vfcoho.fields import crossed_hom_residual, divergence, field_action
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 

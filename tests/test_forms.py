@@ -193,10 +193,12 @@ def _ext_d_without_the_last_direction(w):
 @pytest.mark.parametrize("model", [TORUS, AFFINE])
 def test_de_rham_check_fails_on_a_defective_differential(model, monkeypatch):
     name = f"de-rham:{model}"
-    assert suites._de_rham_check(name, model, 2).status == "pass"
+    passing = suites._de_rham_check(name, model, 2)
+    assert passing.status == "pass"
     monkeypatch.setattr(forms, "ext_d", _ext_d_without_the_last_direction)
     with pytest.raises(AssertionError):
         de_rham_dims(model, 2)
     report = suites._de_rham_check(name, model, 2)
     assert report.status == "fail"
     assert report.witness["reason"]
+    assert report.params == passing.params
