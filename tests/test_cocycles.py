@@ -1,5 +1,6 @@
 """The trace-of-Jacobian cocycle families and their exact relations."""
 
+import inspect
 import random
 from itertools import permutations, product
 
@@ -12,9 +13,11 @@ from vfcoho import (AFFINE, TORUS, FiniteLieAlgebra, GaugeContext,
                     neg_jacobian, odd_trace_cocycle, pullback_by_crossed_hom,
                     reduce_mod_exact, reduced_trace_cocycle,
                     scalar_trace_cocycle, wedge_pair_cocycle)
+from vfcoho import cocycles as cocycles_module
 from vfcoho.cocycles import (closed_pair_cocycle, divfree_basis,
                              h2_reduced_one_form_generators, perm_sign)
-from vfcoho.cohomology import gl_defining_rep, sl2_defining_rep
+from vfcoho.cohomology import ce_apply, gl_defining_rep, sl2_defining_rep
+from vfcoho.fields import MatrixFunction
 from vfcoho.forms import wedge
 from vfcoho.reports import RunConfig
 from vfcoho.sampling import random_field
@@ -73,6 +76,18 @@ def test_d_of_reduced_trace_is_form_trace():
                 assert ext_d(psibar.evaluate(*args).rep) == psi.evaluate(*args)
 
 
+def _alternating_scalar_trace(fields):
+    """sum over orderings s of sgn(s) Tr(u(X_s(1)) ... u(X_s(m)))."""
+    mats = [neg_jacobian(x) for x in fields]
+    total = RingElement.zero(fields[0].n, fields[0].model)
+    for perm in permutations(range(len(fields))):
+        acc = mats[perm[0]]
+        for i in perm[1:]:
+            acc = acc @ mats[i]
+        total = total + perm_sign(perm) * acc.trace()
+    return total
+
+
 def test_scalar_trace_matches_the_plain_alternating_sum():
     """The standard-polynomial evaluation agrees exactly with the sum of
     sgn * Tr(u(X_s(1)) ... u(X_s(2k-1))) over every ordering."""
@@ -86,15 +101,8 @@ def test_scalar_trace_matches_the_plain_alternating_sum():
                     fields = [random_field(rng, model, n, 2,
                                            terms=rng.randint(1, 3))
                               for _ in range(2 * k - 1)]
-                    mats = [neg_jacobian(x) for x in fields]
-                    expected = RingElement.zero(n, model)
-                    for perm in permutations(range(2 * k - 1)):
-                        acc = mats[perm[0]]
-                        for i in perm[1:]:
-                            acc = acc @ mats[i]
-                        expected = expected + perm_sign(perm) * acc.trace()
                     value = cochain.evaluate(*fields)
-                    assert value == expected, (model, n, k)
+                    assert value == _alternating_scalar_trace(fields), (model, n, k)
                     nonzero[k] += not value.is_zero()
     assert all(count > 0 for count in nonzero.values()), nonzero
 
@@ -116,6 +124,17 @@ def _alternating_form_trace(heads, tails, degree):
     return total
 
 
+def _dense_thetas(fields):
+    """u(X) with 0-form entries and du(X), as dense matrices, per field."""
+    n = fields[0].n
+    thetas = []
+    for x in fields:
+        u = neg_jacobian(x)
+        thetas.append([[PForm.from_ring(u.entry(i, j)) for j in range(n)]
+                       for i in range(n)])
+    return thetas, [[[ext_d(w) for w in row] for row in t] for t in thetas]
+
+
 def test_form_and_reduced_traces_match_the_plain_alternating_sums():
     """Tr S_k(du), with u(X_s(1)) as first factor for the reduced family,
     agrees exactly with the sum of sgn * Tr(du(X_s(1)) ^ ... ^ du(X_s(k)))
@@ -130,12 +149,7 @@ def test_form_and_reduced_traces_match_the_plain_alternating_sums():
             for _ in range(4):
                 fields = [random_field(rng, model, n, 2, terms=rng.randint(1, 3))
                           for _ in range(k)]
-                thetas = []
-                for x in fields:
-                    u = neg_jacobian(x)
-                    thetas.append([[PForm.from_ring(u.entry(i, j)) for j in range(n)]
-                                   for i in range(n)])
-                dthetas = [[[ext_d(w) for w in row] for row in t] for t in thetas]
+                thetas, dthetas = _dense_thetas(fields)
                 value = psi.evaluate(*fields)
                 assert value == _alternating_form_trace(dthetas, dthetas, k), (model, k)
                 nonzero[("form", k)] += not value.is_zero()
@@ -144,6 +158,122 @@ def test_form_and_reduced_traces_match_the_plain_alternating_sums():
                 assert value == reduce_mod_exact(expected), (model, k)
                 nonzero[("reduced", k)] += not value.is_zero()
     assert all(count > 0 for count in nonzero.values()), nonzero
+
+
+TRACE_FAMILIES = {"scalar": scalar_trace_cocycle, "form": form_trace_cocycle,
+                  "reduced": reduced_trace_cocycle}
+
+
+def _plain_trace(family, fields):
+    """The value of a trace family on fields, as a plain alternating sum."""
+    if family == "scalar":
+        return _alternating_scalar_trace(fields)
+    thetas, dthetas = _dense_thetas(fields)
+    k = len(fields)
+    if family == "form":
+        return _alternating_form_trace(dthetas, dthetas, k)
+    return reduce_mod_exact(_alternating_form_trace(thetas, dthetas, k - 1))
+
+
+def _memo_of(cochain):
+    return inspect.getclosurevars(cochain.evaluate).nonlocals["memo"]
+
+
+def _rebuilt(x, model=None):
+    """x with each coefficient's terms inserted in reverse order, over model."""
+    return VectorField([RingElement(x.n, model or x.model,
+                                    dict(reversed(list(f.terms.items()))))
+                        for f in x.coeffs])
+
+
+@pytest.mark.parametrize("model", [TORUS, AFFINE])
+@pytest.mark.parametrize("family", sorted(TRACE_FAMILIES))
+def test_trace_memo_values_equal_the_plain_alternating_sums(family, model):
+    """One cochain object per case, so its memo carries over between
+    evaluations: overlapping sub-tuples of one pool, transposed arguments
+    and a field rebuilt with its terms in reverse order all agree with the
+    plain alternating sum, and the rebuilt field hits the memo."""
+    n = 3
+    rng = random.Random(47)
+    pool = [random_field(rng, model, n, 2, terms=4) for _ in range(7)]
+    for k in (1, 2, 3):
+        cochain = TRACE_FAMILIES[family](k, n, model)
+        arity = cochain.degree
+        nonzero = 0
+        for start in range(len(pool) - arity + 1):
+            args = pool[start:start + arity]
+            value = cochain.evaluate(*args)
+            assert value == _plain_trace(family, args), (family, model, k, start)
+            nonzero += not value.is_zero()
+            if arity > 1:
+                swapped = [args[1], args[0]] + args[2:]
+                assert (cochain.evaluate(*swapped) + value).is_zero()
+        assert nonzero, (family, model, k)
+        args = pool[:arity]
+        rebuilt = _rebuilt(args[0])
+        assert any(list(f.terms) != list(g.terms)
+                   for f, g in zip(args[0].coeffs, rebuilt.coeffs))
+        value = cochain.evaluate(*args)
+        held = list(_memo_of(cochain).entries)
+        assert cochain.evaluate(rebuilt, *args[1:]) == value
+        assert list(_memo_of(cochain).entries) == held
+
+
+@pytest.mark.parametrize("family", sorted(TRACE_FAMILIES))
+def test_trace_memo_tells_the_models_apart(family):
+    """A torus and an affine field with equal terms have different
+    Jacobians, so one cochain evaluated on both gives each its own value."""
+    rng = random.Random(53)
+    affine = [random_field(rng, AFFINE, 3, 2, terms=4) for _ in range(3)]
+    torus = [_rebuilt(x, TORUS) for x in affine]
+    cochain = TRACE_FAMILIES[family](2, 3, TORUS)
+    values = []
+    for fields in (torus, affine):
+        args = fields[:cochain.degree]
+        values.append(cochain.evaluate(*args).text())
+        assert values[-1] == _plain_trace(family, args).text(), family
+    assert values[0] != values[1]
+
+
+@pytest.mark.parametrize("k, products, jacobians", [(2, 22, 10), (3, 171, 21)])
+def test_one_residual_shares_jacobians_and_tails(monkeypatch, k, products, jacobians):
+    """The 2k + C(2k, 2) evaluations that one ce_apply of scalar_trace[k]
+    makes on a 2k-tuple build each u(X) and each partial sum of S once:
+    22 products and 10 Jacobians at k = 2 (30 and 30 one evaluation at a
+    time), 171 and 21 at k = 3 (609 and 105)."""
+    calls = {"matmul": 0, "neg_jacobian": 0}
+    matmul = MatrixFunction.__matmul__
+
+    def counted_matmul(a, b):
+        calls["matmul"] += 1
+        return matmul(a, b)
+
+    def counted_neg_jacobian(x):
+        calls["neg_jacobian"] += 1
+        return neg_jacobian(x)
+
+    monkeypatch.setattr(MatrixFunction, "__matmul__", counted_matmul)
+    monkeypatch.setattr(cocycles_module, "neg_jacobian", counted_neg_jacobian)
+    args = seeded_fields(2 * k, n=3, seed=59)
+    assert ce_apply(scalar_trace_cocycle(k, 3, TORUS), args).is_zero()
+    assert 0 < calls["matmul"] <= products, calls
+    assert 0 < calls["neg_jacobian"] <= jacobians, calls
+
+
+@pytest.mark.parametrize("family", sorted(TRACE_FAMILIES))
+def test_trace_memo_stays_within_its_bound(family):
+    class Recording(dict):
+        most = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.most = max(self.most, len(self))
+
+    cochain = TRACE_FAMILIES[family](2, 2, TORUS)
+    memo = _memo_of(cochain)
+    memo.entries = Recording()
+    assert is_cocycle(cochain, radius=1, samples=10, max_tuples=100).passed()
+    assert memo.entries.most == memo.bound
 
 
 def test_arity_conventions():
