@@ -25,14 +25,23 @@ and the exterior calculus of the frame:
   form, [i_{X_p} ... i_{X_1} omega].
 * closed_pair_cocycle(alpha, beta): function-valued 2-cocycle
   alpha(X,Y) + beta(X) tr(Y) - beta(Y) tr(X) built from a closed 2-form
-  and a closed 1-form, where tr = reduced_trace_cocycle(1).
-* gauge_form_trace / gauge_reduced_trace: the analogues on the gauge
-  algebra F tensor g.  The trace factor there is symmetrized (no sign),
-  the antisymmetry lives entirely in the form factor.
-* odd_trace_cocycle(k): the classical odd trace cocycles on a
-  finite-dimensional matrix algebra, and gauge_odd_trace(k), their
-  F-linear extension, whose pullback along neg_jacobian reproduces
-  scalar_trace_cocycle exactly.
+  and a closed 1-form, where tr = reduced_trace_cocycle(1) = -div.
+* odd_trace_cocycle(k): the classical odd trace cocycle on a
+  finite-dimensional matrix algebra, the finite ordered trace sum
+  sum_s sgn(s) Tr(rho(x_s(1)) ... rho(x_s(2k-1))) of its arguments.
+* gauge_odd_trace, gauge_form_trace, gauge_reduced_trace: the families
+  on the gauge algebra F tensor g, each the F-linear extension of a finite
+  ordered trace sum.  Expanding u_i = sum_a f_{i,a} x_a multilinearly
+  gives sum over a_1..a_k of factor(a) w_1 ^ ... ^ w_k, the factor the
+  signed sum over orderings of Tr(rho(x_{a_1}) ... rho(x_{a_k})) for the
+  odd trace (w_i = f_{i,a_i}) and the unsigned one for the form traces,
+  whose antisymmetry lives entirely in w_i = df_{i,a_i} (and f_{1,a_1}
+  for the reduced family).  Pulled back along neg_jacobian they give
+  scalar_trace_cocycle, form_trace_cocycle and reduced_trace_cocycle.
+  They share no code with the standard polynomial, the memo or the
+  `MatrixFunction` product on purpose: the relation:pullback-* checks
+  compare the odd and reduced ones with their vector-field families, and
+  a shared routine would only check itself.
 
 The scalar, form and reduced traces each keep a private memo
 (`_TraceMemo`) of the per-field matrices u(X) or du(X) and of the partial
@@ -46,13 +55,12 @@ sum once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 from .cohomology import Cochain, GaugeContext, cochain_wedge
 from .fields import MatrixFunction, VectorField, divergence, neg_jacobian
-from .forms import FormClass, PForm, contract, ext_d, reduce_mod_exact
+from .forms import PForm, contract, ext_d, reduce_mod_exact
 from .linalg import mat_mul
 from .rings import MismatchError, RingElement, box_modes
 
@@ -258,189 +266,128 @@ def closed_pair_cocycle(alpha: PForm, beta: PForm, name: str | None = None) -> C
             raise MismatchError(f"closed form required; d gives {ext_d(w).text()}")
     n, model = alpha.n, alpha.model
 
-    def tr(x: VectorField) -> RingElement:
-        return neg_jacobian(x).trace()
-
     def ev(x, y):
         value = contract(y, contract(x, alpha)).as_ring()
         bx = contract(x, beta).as_ring()
         by = contract(y, beta).as_ring()
-        return value + bx * tr(y) - by * tr(x)
+        return value - bx * divergence(y) + by * divergence(x)
 
     return Cochain(name or "closed_pair", 2, ev, "fields", "ring", n, model,
                    spec={"alpha": alpha.text(), "beta": beta.text()})
 
 
-# -- gauge algebra families --------------------------------------------------
+# -- gauge algebra and finite families ---------------------------------------
 
 
-def _sym_trace_factor(ctx: GaugeContext, indices: tuple[int, ...],
-                      cache: dict) -> Fraction | int:
-    """sum over all orderings of Tr(rho(x_{a_1}) ... rho(x_{a_k}))."""
-    key = tuple(sorted(indices))
-    got = cache.get(key)
-    if got is not None:
-        return got
+def _ordered_trace_sum(mats: Sequence, signed: bool):
+    """sum over orderings s of [sgn s] Tr(M_s(1) ... M_s(m)), for dense
+    constant matrices; positions count as distinct, so repeats are kept."""
     total = 0
-    for perm in permutations(key):
-        acc = [list(r) for r in ctx.rep[perm[0]]]
-        for a in perm[1:]:
-            acc = mat_mul(acc, [list(r) for r in ctx.rep[a]])
-        total += sum(acc[i][i] for i in range(len(acc)))
-    cache[key] = total
+    for perm in permutations(range(len(mats))):
+        acc = mats[perm[0]]
+        for i in perm[1:]:
+            acc = mat_mul(acc, mats[i])
+        term = sum(acc[i][i] for i in range(len(acc)))
+        total += perm_sign(perm) * term if signed else term
+    return total
+
+
+def _slot(u, differential: bool) -> list[tuple[int, PForm]]:
+    """The nonzero pairs (a, f_a), or (a, d f_a), of u = sum_a f_a x_a."""
+    pairs = []
+    for a, f in enumerate(u.coeffs):
+        if f.is_zero():
+            continue
+        w = ext_d(PForm.from_ring(f)) if differential else PForm.from_ring(f)
+        if not w.is_zero():
+            pairs.append((a, w))
+    return pairs
+
+
+def _gauge_sum(ctx: GaugeContext, slots: Sequence, degree: int, signed: bool,
+               cache: dict) -> PForm:
+    """sum over a_1..a_k of factor(a) w_1 ^ ... ^ w_k, with (a_i, w_i) drawn
+    from slot i and the factor the `_ordered_trace_sum` of rho(x_{a_1}), ...,
+    rho(x_{a_k}), cached under the sorted indices (symmetric) or the ordered
+    ones (signed).  The wedge starts from slot 0's forms, not from the unit
+    0-form, and the last wedge is made only where the factor is nonzero."""
+    total = PForm.zero(ctx.n, ctx.model, degree)
+
+    def rec(i: int, indices: tuple[int, ...], acc: PForm | None):
+        nonlocal total
+        for a, w in slots[i]:
+            idx = indices + (a,)
+            if i + 1 < len(slots):
+                nxt = w if acc is None else acc.wedge(w)
+                if not nxt.is_zero():
+                    rec(i + 1, idx, nxt)
+                continue
+            key = idx if signed else tuple(sorted(idx))
+            factor = cache.get(key)
+            if factor is None:
+                factor = cache[key] = _ordered_trace_sum([ctx.rep[b] for b in key], signed)
+            if factor:
+                total = total + (w if acc is None else acc.wedge(w)).scale(factor)
+
+    rec(0, (), None)
     return total
 
 
 def gauge_form_trace(k: int, ctx: GaugeContext) -> Cochain:
-    """k-cochain on F tensor g valued in k-forms:
-    (sym trace of rho's) * df_1 ^ ... ^ df_k."""
+    """k-cochain on F tensor g valued in k-forms: the F-linear extension of
+    the symmetric trace sum, sum_a (sym Tr rho(x_a)) df_{1,a_1} ^ ... ^ df_{k,a_k}."""
     if not 1 <= k <= ctx.n:
         raise MismatchError(f"gauge form trace needs 1 <= k <= {ctx.n}")
     cache: dict = {}
 
     def ev(*elements):
-        slots = []
-        for u in elements:
-            nonzero = []
-            for a, f in enumerate(u.coeffs):
-                if f.is_zero():
-                    continue
-                d = ext_d(PForm.from_ring(f))
-                if not d.is_zero():
-                    nonzero.append((a, d))
-            slots.append(nonzero)
-        total = PForm.zero(ctx.n, ctx.model, k)
-        if any(not s for s in slots):
-            return total
-
-        def rec(i: int, indices: tuple[int, ...], wedge_acc: PForm):
-            nonlocal total
-            if i == k:
-                factor = _sym_trace_factor(ctx, indices, cache)
-                if factor:
-                    total = total + wedge_acc.scale(factor)
-                return
-            for a, d in slots[i]:
-                nxt = d if i == 0 else wedge_acc.wedge(d)
-                if i > 0 and nxt.is_zero():
-                    continue
-                rec(i + 1, indices + (a,), nxt)
-
-        rec(0, (), PForm.zero(ctx.n, ctx.model, 0))
-        return total
+        slots = [_slot(u, True) for u in elements]
+        return _gauge_sum(ctx, slots, k, False, cache)
 
     return Cochain(f"gauge_form_trace[{k}]", k, ev, "gauge", "form",
                    ctx.n, ctx.model, value_degree=k, ctx=ctx, spec={"k": k})
 
 
 def gauge_reduced_trace(k: int, ctx: GaugeContext) -> Cochain:
-    """k-cochain on F tensor g valued in (k-1)-forms mod exact:
-    (sym trace of rho's) * [f_1 df_2 ^ ... ^ df_k]."""
+    """k-cochain on F tensor g valued in (k-1)-forms mod exact: the same sum
+    with f_1 in place of df_1, [sum_a (sym Tr rho(x_a)) f_{1,a_1} df_{2,a_2} ^ ...]."""
     if not (1 <= k and k - 1 <= ctx.n):
         raise MismatchError(f"gauge reduced trace needs k - 1 <= {ctx.n}")
     cache: dict = {}
 
-    def ev(*elements):
-        first = elements[0]
-        tails = []
-        for u in elements[1:]:
-            nonzero = []
-            for a, f in enumerate(u.coeffs):
-                if f.is_zero():
-                    continue
-                d = ext_d(PForm.from_ring(f))
-                if not d.is_zero():
-                    nonzero.append((a, d))
-            tails.append(nonzero)
-        total = PForm.zero(ctx.n, ctx.model, k - 1)
-        heads = [(a, PForm.from_ring(f)) for a, f in enumerate(first.coeffs)
-                 if not f.is_zero()]
-        if not heads or any(not t for t in tails):
-            return FormClass.zero(ctx.n, ctx.model, k - 1)
-
-        def rec(i: int, indices: tuple[int, ...], acc: PForm):
-            nonlocal total
-            if i == k - 1:
-                factor = _sym_trace_factor(ctx, indices, cache)
-                if factor:
-                    total = total + acc.scale(factor)
-                return
-            for a, d in tails[i]:
-                nxt = acc.wedge(d)
-                if nxt.is_zero():
-                    continue
-                rec(i + 1, indices + (a,), nxt)
-
-        for a, head in heads:
-            rec(0, (a,), head)
-        return reduce_mod_exact(total)
+    def ev(first, *rest):
+        slots = [_slot(first, False)] + [_slot(u, True) for u in rest]
+        return reduce_mod_exact(_gauge_sum(ctx, slots, k - 1, False, cache))
 
     return Cochain(f"gauge_reduced_trace[{k}]", k, ev, "gauge", "class",
                    ctx.n, ctx.model, value_degree=k - 1, ctx=ctx, spec={"k": k})
 
 
 def gauge_odd_trace(k: int, ctx: GaugeContext) -> Cochain:
-    """F-linear extension of the odd trace cocycle to F tensor g."""
+    """F-linear extension of the odd trace cocycle to F tensor g:
+    sum_a (sum_s sgn s Tr rho(x_{a_s(1)}) ...) f_{1,a_1} ... f_{m,a_m}."""
     arity = 2 * k - 1
-
-    def to_matrix(u) -> MatrixFunction:
-        entries: dict[tuple[int, int], RingElement] = {}
-        size = ctx.rep_size
-        for a, f in enumerate(u.coeffs):
-            if f.is_zero():
-                continue
-            for i in range(size):
-                for j in range(size):
-                    coeff = ctx.rep[a][i][j]
-                    if coeff:
-                        prev = entries.get((i, j))
-                        val = coeff * f if prev is None else prev + coeff * f
-                        entries[(i, j)] = val
-        return MatrixFunction(ctx.n, ctx.model,
-                              {k2: v for k2, v in entries.items() if not v.is_zero()},
-                              size=size)
+    cache: dict = {}
 
     def ev(*elements):
-        mats = [to_matrix(u) for u in elements]
-        total = RingElement.zero(ctx.n, ctx.model)
-        if any(m.is_zero() for m in mats):
-            return total
-        for perm in permutations(range(arity)):
-            acc = mats[perm[0]]
-            for i in perm[1:]:
-                if acc.is_zero():
-                    break
-                acc = acc @ mats[i]
-            total = total + perm_sign(perm) * acc.trace()
-        return total
+        slots = [_slot(u, False) for u in elements]
+        return _gauge_sum(ctx, slots, 0, True, cache).as_ring()
 
     return Cochain(f"gauge_odd_trace[{k}]", arity, ev, "gauge", "ring",
                    ctx.n, ctx.model, ctx=ctx, spec={"k": k})
 
 
 def odd_trace_cocycle(k: int, lie, rep: Sequence) -> Cochain:
-    """Odd trace cocycle on a finite-dimensional algebra through rep."""
+    """Odd trace cocycle on a finite-dimensional algebra through rep:
+    the signed `_ordered_trace_sum` of the dense rho(x_i)."""
     arity = 2 * k - 1
     size = len(rep[0])
 
-    def to_matrix(x):
-        out = [[0] * size for _ in range(size)]
-        for a, coeff in enumerate(x):
-            if coeff:
-                for i in range(size):
-                    for j in range(size):
-                        out[i][j] += coeff * rep[a][i][j]
-        return out
-
     def ev(*vectors):
-        total = 0
-        mats = [to_matrix(x) for x in vectors]
-        for perm in permutations(range(arity)):
-            acc = mats[perm[0]]
-            for i in perm[1:]:
-                acc = mat_mul(acc, mats[i])
-            total += perm_sign(perm) * sum(acc[i][i] for i in range(size))
-        return total
+        return _ordered_trace_sum(
+            [[[sum(c * rep[a][i][j] for a, c in enumerate(x) if c)
+               for j in range(size)] for i in range(size)] for x in vectors],
+            signed=True)
 
     return Cochain(f"odd_trace[{k}]", arity, ev, "finite", "scalar",
                    1, "torus", ctx=lie, spec={"k": k, "rep_size": size})

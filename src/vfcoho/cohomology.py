@@ -191,9 +191,6 @@ class GaugeContext:
         return GaugeElement(self, tuple(RingElement.zero(self.n, self.model)
                                         for _ in range(self.lie.dim)))
 
-    def element(self, coeffs: Sequence[RingElement]) -> "GaugeElement":
-        return GaugeElement(self, tuple(coeffs))
-
     def basis_element(self, mode, a: int) -> "GaugeElement":
         coeffs = [RingElement.zero(self.n, self.model) for _ in range(self.lie.dim)]
         coeffs[a] = RingElement.monomial(self.n, self.model, mode)
@@ -544,7 +541,7 @@ def matrix_to_gauge(ctx: GaugeContext, m: MatrixFunction) -> GaugeElement:
     size = ctx.rep_size
     if ctx.lie.dim != size * size:
         raise MismatchError("matrix_to_gauge needs the full gl context")
-    if m.size != size:
+    if m.n != size:
         raise MismatchError("matrix size does not match the representation")
     coeffs = [RingElement.zero(ctx.n, ctx.model) for _ in range(ctx.lie.dim)]
     for (i, j), f in m.entries.items():

@@ -31,8 +31,9 @@ from .cohomology import Cochain, FiniteLieAlgebra, GaugeContext, GaugeElement
 from .fields import VectorField
 from .forms import FormClass, PForm, ext_d, lie_derive, reduce_mod_exact
 from .reports import CheckReport
-from .rings import MismatchError, as_scalar, box_modes
-from .sampling import random_field, random_ring, random_scalar, seeded_check
+from .rings import MismatchError, as_scalar
+from .sampling import (model_modes, random_field, random_ring, random_scalar,
+                       seeded_check)
 
 
 class InvariantForm:
@@ -197,7 +198,7 @@ def jacobi_residual(a: ExtensionElement, b: ExtensionElement,
 def _basis_extension_elements(setup: ExtensionSetup, radius: int) -> list[ExtensionElement]:
     ctx = setup.ctx
     out = []
-    modes = box_modes(ctx.n, radius)
+    modes = model_modes(ctx.model, ctx.n, radius)
     for m in modes:
         for a in range(ctx.lie.dim):
             out.append(ExtensionElement.make(setup, gauge=ctx.basis_element(m, a)))

@@ -120,56 +120,45 @@ def field_action(x: VectorField, f: RingElement) -> RingElement:
 
 
 class MatrixFunction:
-    """Square matrix of functions or of forms, stored sparsely by
+    """Square n x n matrix of functions or of forms, stored sparsely by
     (row, col), 0-based.
 
     Entries are all `RingElement`s or all `PForm`s over one ring; a product
     multiplies entries with `*`, which is the wedge product for forms.
     `trace` and `scale` take function entries only.
     Products of Jacobians of monomial fields stay single-row, so sparse
-    storage is what keeps the trace cocycles cheap.  `size` is the matrix
-    dimension; it defaults to the ring dimension `n` (the Jacobian case)
-    but may differ, e.g. for a representation of a different rank.
+    storage is what keeps the trace cocycles cheap.
 
     The constructor checks every entry; sums, products and scalings of
     valid matrices go through `_trusted` and are not checked again.
     """
 
-    __slots__ = ("n", "model", "size", "entries")
+    __slots__ = ("n", "model", "entries")
 
-    def __init__(self, n: int, model: str, entries: MatrixEntries | None = None,
-                 size: int | None = None):
+    def __init__(self, n: int, model: str, entries: MatrixEntries | None = None):
         if model not in MODELS:
             raise MismatchError(f"unknown model {model!r}")
-        size = n if size is None else size
         clean: MatrixEntries = {}
         for (i, j), f in (entries or {}).items():
-            if not 0 <= i < size or not 0 <= j < size:
-                raise MismatchError(f"entry ({i},{j}) out of range for size={size}")
+            if not 0 <= i < n or not 0 <= j < n:
+                raise MismatchError(f"entry ({i},{j}) out of range for n={n}")
             if f.n != n or f.model != model:
                 raise MismatchError("entry ring mismatch")
             if not f.is_zero():
                 clean[(i, j)] = f
         self.n = n
         self.model = model
-        self.size = size
         self.entries = clean
 
     @classmethod
-    def _trusted(cls, n: int, model: str, entries: MatrixEntries,
-                 size: int) -> "MatrixFunction":
+    def _trusted(cls, n: int, model: str, entries: MatrixEntries) -> "MatrixFunction":
         """Wrap in-range, nonzero entries over this ring, built by arithmetic
         on valid matrices."""
         self = object.__new__(cls)
         self.n = n
         self.model = model
-        self.size = size
         self.entries = entries
         return self
-
-    @classmethod
-    def zero(cls, n: int, model: str) -> "MatrixFunction":
-        return cls(n, model)
 
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries.get((i, j), RingElement.zero(self.n, self.model))
@@ -180,14 +169,14 @@ class MatrixFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixFunction):
             return NotImplemented
-        return ((self.n, self.model, self.size, self.entries)
-                == (other.n, other.model, other.size, other.entries))
+        return ((self.n, self.model, self.entries)
+                == (other.n, other.model, other.entries))
 
     __hash__ = None
 
     def _compatible(self, other: "MatrixFunction") -> None:
-        if (self.n, self.model, self.size) != (other.n, other.model, other.size):
-            raise MismatchError("mixed models, dimensions or sizes")
+        if (self.n, self.model) != (other.n, other.model):
+            raise MismatchError("mixed models or dimensions")
 
     def __add__(self, other: "MatrixFunction") -> "MatrixFunction":
         self._compatible(other)
@@ -199,12 +188,11 @@ class MatrixFunction:
                 out.pop(key, None)
             else:
                 out[key] = total
-        return MatrixFunction._trusted(self.n, self.model, out, self.size)
+        return MatrixFunction._trusted(self.n, self.model, out)
 
     def __neg__(self) -> "MatrixFunction":
         return MatrixFunction._trusted(self.n, self.model,
-                                       {k: -f for k, f in self.entries.items()},
-                                       self.size)
+                                       {k: -f for k, f in self.entries.items()})
 
     def __sub__(self, other: "MatrixFunction") -> "MatrixFunction":
         return self + (-other)
@@ -212,7 +200,7 @@ class MatrixFunction:
     def scale(self, c) -> "MatrixFunction":
         c = as_scalar(c)
         entries = {k: f * c for k, f in self.entries.items()} if c else {}
-        return MatrixFunction._trusted(self.n, self.model, entries, self.size)
+        return MatrixFunction._trusted(self.n, self.model, entries)
 
     def __matmul__(self, other: "MatrixFunction") -> "MatrixFunction":
         self._compatible(other)
@@ -231,7 +219,7 @@ class MatrixFunction:
                     out.pop((i, j), None)
                 else:
                     out[(i, j)] = total
-        return MatrixFunction._trusted(self.n, self.model, out, self.size)
+        return MatrixFunction._trusted(self.n, self.model, out)
 
     def commutator(self, other: "MatrixFunction") -> "MatrixFunction":
         return (self @ other) - (other @ self)
@@ -251,15 +239,15 @@ class MatrixFunction:
             value = fn(f)
             if not value.is_zero():
                 entries[key] = value
-        return MatrixFunction._trusted(self.n, self.model, entries, self.size)
+        return MatrixFunction._trusted(self.n, self.model, entries)
 
     def apply_derivation(self, x: VectorField) -> "MatrixFunction":
         return self.entrywise(lambda f: field_action(x, f))
 
     def text(self) -> str:
         rows = []
-        for i in range(self.size):
-            rows.append("[" + ", ".join(self.entry(i, j).text() for j in range(self.size)) + "]")
+        for i in range(self.n):
+            rows.append("[" + ", ".join(self.entry(i, j).text() for j in range(self.n)) + "]")
         return "[" + ", ".join(rows) + "]"
 
 
@@ -273,7 +261,7 @@ def neg_jacobian(x: VectorField) -> MatrixFunction:
             d = f.derive(j)
             if not d.is_zero():
                 entries[(i, j - 1)] = -d
-    return MatrixFunction._trusted(x.n, x.model, entries, x.n)
+    return MatrixFunction._trusted(x.n, x.model, entries)
 
 
 def divergence(x: VectorField) -> RingElement:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from vfcoho.reports import dumps, strip_timing
+from vfcoho.suites import SUITE_NAMES
 
 CLI = [sys.executable, "-m", "vfcoho.cli"]
 
@@ -26,6 +27,13 @@ def test_verify_passes_on_a_small_suite():
     out = run_cli("verify", "crossed-hom", "--dim", "1")
     assert out.returncode == 0
     assert "all passed" in out.stdout
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_runs_on_the_affine_model(suite):
+    out = run_cli("verify", suite, "--model", "affine", "--dim", "2",
+                  "--max-tuples", "20", "--samples", "3")
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_verify_unknown_suite_is_a_usage_error():

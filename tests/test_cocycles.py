@@ -124,14 +124,20 @@ def _alternating_form_trace(heads, tails, degree):
     return total
 
 
-def _dense_thetas(fields):
-    """u(X) with 0-form entries and du(X), as dense matrices, per field."""
-    n = fields[0].n
+def _dense_thetas(args, ctx=None):
+    """u(X) with 0-form entries and du(X), as dense matrices, per field; with
+    a gauge context, rho(u) = sum_a f_a rho(x_a) and d rho(u) per element."""
     thetas = []
-    for x in fields:
-        u = neg_jacobian(x)
-        thetas.append([[PForm.from_ring(u.entry(i, j)) for j in range(n)]
-                       for i in range(n)])
+    for x in args:
+        if ctx is None:
+            u, size = neg_jacobian(x), x.n
+            rows = [[u.entry(i, j) for j in range(size)] for i in range(size)]
+        else:
+            size = ctx.rep_size
+            rows = [[sum((ctx.rep[a][i][j] * f for a, f in enumerate(x.coeffs)),
+                         RingElement.zero(ctx.n, ctx.model))
+                     for j in range(size)] for i in range(size)]
+        thetas.append([[PForm.from_ring(f) for f in row] for row in rows])
     return thetas, [[[ext_d(w) for w in row] for row in t] for t in thetas]
 
 
@@ -156,6 +162,36 @@ def test_form_and_reduced_traces_match_the_plain_alternating_sums():
                 value = psibar.evaluate(*fields)
                 expected = _alternating_form_trace(thetas, dthetas, k - 1)
                 assert value == reduce_mod_exact(expected), (model, k)
+                nonzero[("reduced", k)] += not value.is_zero()
+    assert all(count > 0 for count in nonzero.values()), nonzero
+
+
+def test_gauge_traces_match_the_plain_alternating_sums():
+    """On F tensor g, gauge_odd_trace[k], gauge_form_trace[k] and
+    gauge_reduced_trace[k] (as classes) agree exactly with the sums of
+    sgn * Tr over every ordering of the dense rho(u_i), resp. d rho(u_i),
+    with rho(u_s(1)) as first factor for the reduced family."""
+    rng = random.Random(47)
+    nonzero = {(family, k): 0 for family in ("odd", "form", "reduced") for k in (1, 2)}
+    for lie, rep in ((FiniteLieAlgebra.sl2(), sl2_defining_rep()),
+                     (FiniteLieAlgebra.gl(2), gl_defining_rep(2))):
+        ctx = GaugeContext(lie, rep, 2, TORUS)
+        for k in (1, 2):
+            odd, form = gauge_odd_trace(k, ctx), gauge_form_trace(k, ctx)
+            reduced = gauge_reduced_trace(k, ctx)
+            for _ in range(5):
+                us = [ctx.random_element(rng, 2) for _ in range(2 * k - 1)]
+                rhos, drhos = _dense_thetas(us, ctx)
+                value = odd.evaluate(*us)
+                assert value == _alternating_form_trace(rhos, rhos, 0).as_ring(), k
+                nonzero[("odd", k)] += not value.is_zero()
+                us, rhos, drhos = us[:k], rhos[:k], drhos[:k]
+                value = form.evaluate(*us)
+                assert value == _alternating_form_trace(drhos, drhos, k), k
+                nonzero[("form", k)] += not value.is_zero()
+                value = reduced.evaluate(*us)
+                expected = _alternating_form_trace(rhos, drhos, k - 1)
+                assert value == reduce_mod_exact(expected), k
                 nonzero[("reduced", k)] += not value.is_zero()
     assert all(count > 0 for count in nonzero.values()), nonzero
 

@@ -61,7 +61,7 @@ def assert_normal(result):
     elif isinstance(result, PForm):
         again = PForm(result.n, result.model, result.degree, result.terms)
     else:
-        again = MatrixFunction(result.n, result.model, result.entries, size=result.size)
+        again = MatrixFunction(result.n, result.model, result.entries)
         assert again == result
         for f in result.entries.values():
             assert_normal(f)
