@@ -152,11 +152,6 @@ def _standard_polynomial(mats: Sequence[MatrixFunction], keys: Sequence,
     return tail(whole) if first is None else standard(whole, first)
 
 
-def _form_trace(m: MatrixFunction, degree: int) -> PForm:
-    return sum((w for (i, j), w in m.entries.items() if i == j),
-               PForm.zero(m.n, m.model, degree))
-
-
 def _thetas(x: VectorField) -> tuple[MatrixFunction, MatrixFunction]:
     """u(X) with its entries as 0-forms, and du(X), a matrix of 1-forms."""
     theta = neg_jacobian(x).entrywise(PForm.from_ring)
@@ -176,7 +171,7 @@ def form_trace_cocycle(k: int, n: int, model: str) -> Cochain:
             return PForm.zero(n, model, k)
         # Passing the du(X_i) as first factors too keeps the whole S_k,
         # this evaluation's own value, out of the memo.
-        return _form_trace(_standard_polynomial(mats, keys, memo, first=mats), k)
+        return _standard_polynomial(mats, keys, memo, first=mats).trace(k)
 
     return Cochain(f"form_trace[{k}]", k, ev, "fields", "form", n, model,
                    value_degree=k, spec={"k": k})
@@ -195,7 +190,7 @@ def reduced_trace_cocycle(k: int, n: int, model: str) -> Cochain:
         keys, pairs = memo.per_field(fields, _thetas)
         thetas, dthetas = zip(*pairs)
         return reduce_mod_exact(
-            _form_trace(_standard_polynomial(dthetas, keys, memo, first=thetas), k - 1))
+            _standard_polynomial(dthetas, keys, memo, first=thetas).trace(k - 1))
 
     return Cochain(f"reduced_trace[{k}]", k, ev, "fields", "class", n, model,
                    value_degree=k - 1, spec={"k": k})

@@ -11,6 +11,11 @@ and any of the four value kinds (ring element, form, reduced-form class,
 plain scalar).  Vector-field cochains act through the derivation / Lie
 derivative; gauge and finite domains treat values as trivial modules.
 
+`FiniteLieAlgebra` keeps one sparse table of its structure constants;
+its bracket, the pointwise `GaugeContext.bracket` and the matrices of
+`ce_matrix` all read it.  `GaugeElement(...)` validates its coefficients
+against the context, and the context's own results are trusted.
+
 `betti_numbers` computes full cohomology of a finite-dimensional algebra
 with trivial coefficients by exact rank counting, and `cochain_wedge`
 multiplies a class-valued by a form-valued cochain by the shuffle sum,
@@ -24,12 +29,12 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from operator import methodcaller
+from operator import add, methodcaller, sub
 from typing import Callable, Sequence
 
-from .fields import MatrixFunction, VectorField, field_action
-from .forms import (FormClass, PForm, _insert_sign, ext_d, lie_derive,
-                    reduce_mod_exact)
+from .fields import MatrixFunction, VectorField
+from .forms import (FormClass, PForm, _insert_sign, ext_d, field_action,
+                    lie_derive, reduce_mod_exact)
 from .linalg import cohomology_dims, mat_mul, sparse_matrix
 from .reports import CheckReport
 from .rings import MismatchError, RingElement, as_scalar
@@ -45,8 +50,9 @@ class FiniteLieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants.
 
     `c[a][b][k]` is the coefficient of the k-th basis element in
-    [x_a, x_b].  Antisymmetry and the Jacobi identity are validated at
-    construction time, exactly.
+    [x_a, x_b], and `sparse[(a, b)]` lists the nonzero (k, c[a][b][k]).
+    Antisymmetry and the Jacobi identity are validated at construction
+    time, exactly.
     """
 
     def __init__(self, structure: Sequence[Sequence[Sequence]], names: Sequence[str] | None = None):
@@ -74,6 +80,12 @@ class FiniteLieAlgebra:
                                 f"Jacobi identity fails on basis triple ({a},{b},{d})")
         self.dim = dim
         self.c = c
+        self.sparse: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+        for a in range(dim):
+            for b in range(dim):
+                row = [(k, v) for k, v in enumerate(c[a][b]) if v]
+                if row:
+                    self.sparse[(a, b)] = row
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(dim))
 
     @classmethod
@@ -110,16 +122,11 @@ class FiniteLieAlgebra:
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         out = [0] * self.dim
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            for b, yb in enumerate(y):
-                if not yb:
-                    continue
-                row = self.c[a][b]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += xa * yb * row[k]
+        for (a, b), row in self.sparse.items():
+            xa, yb = x[a], y[b]
+            if xa and yb:
+                for k, coeff in row:
+                    out[k] += xa * yb * coeff
         return tuple(out)
 
     def basis_vector(self, a: int) -> Vector:
@@ -179,55 +186,68 @@ class GaugeContext:
         self.rep_size = len(rep[0])
         self.n = n
         self.model = model
-        sparse: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-        for a in range(lie.dim):
-            for b in range(lie.dim):
-                row = [(k, v) for k, v in enumerate(lie.c[a][b]) if v]
-                if row:
-                    sparse[(a, b)] = row
-        self._sparse = sparse
 
     def zero(self) -> "GaugeElement":
-        return GaugeElement(self, tuple(RingElement.zero(self.n, self.model)
-                                        for _ in range(self.lie.dim)))
+        return GaugeElement._trusted(self, tuple(RingElement.zero(self.n, self.model)
+                                                 for _ in range(self.lie.dim)))
 
     def basis_element(self, mode, a: int) -> "GaugeElement":
         coeffs = [RingElement.zero(self.n, self.model) for _ in range(self.lie.dim)]
         coeffs[a] = RingElement.monomial(self.n, self.model, mode)
-        return GaugeElement(self, tuple(coeffs))
+        return GaugeElement._trusted(self, tuple(coeffs))
 
     def basis_elements(self, modes: Sequence) -> list["GaugeElement"]:
         return [self.basis_element(m, a) for m in modes for a in range(self.lie.dim)]
 
     def bracket(self, u: "GaugeElement", v: "GaugeElement") -> "GaugeElement":
         out = [RingElement.zero(self.n, self.model) for _ in range(self.lie.dim)]
-        for (a, b), row in self._sparse.items():
+        for (a, b), row in self.lie.sparse.items():
             ua, vb = u.coeffs[a], v.coeffs[b]
             if ua.is_zero() or vb.is_zero():
                 continue
             prod = ua * vb
             for k, coeff in row:
                 out[k] = out[k] + coeff * prod
-        return GaugeElement(self, tuple(out))
+        return GaugeElement._trusted(self, tuple(out))
 
     def outer(self, x: VectorField, u: "GaugeElement") -> "GaugeElement":
         """Action of a vector field through its derivation on coefficients."""
-        return GaugeElement(self, tuple(field_action(x, f) for f in u.coeffs))
+        return GaugeElement._trusted(self, tuple(field_action(x, f) for f in u.coeffs))
 
     def random_element(self, rng: random.Random, radius: int) -> "GaugeElement":
         coeffs = [RingElement.zero(self.n, self.model) for _ in range(self.lie.dim)]
         for _ in range(2):
             a = rng.randrange(self.lie.dim)
             coeffs[a] = coeffs[a] + random_ring(rng, self.model, self.n, radius, terms=1)
-        return GaugeElement(self, tuple(coeffs))
+        return GaugeElement._trusted(self, tuple(coeffs))
 
 
 class GaugeElement:
+    """u = sum_a f_a x_a in F tensor g.  The constructor checks that there
+    is one function over the context's ring per basis element of g; the
+    context's constructions and arithmetic go through `_trusted`."""
+
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: GaugeContext, coeffs: tuple[RingElement, ...]):
+    def __init__(self, ctx: GaugeContext, coeffs: Sequence[RingElement]):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != ctx.lie.dim:
+            raise MismatchError(f"{len(coeffs)} coefficients for an algebra of "
+                                f"dimension {ctx.lie.dim}")
+        for f in coeffs:
+            if not isinstance(f, RingElement) or (f.n, f.model) != (ctx.n, ctx.model):
+                raise MismatchError("gauge coefficients must be functions over "
+                                    "the context's ring")
         self.ctx = ctx
         self.coeffs = coeffs
+
+    @classmethod
+    def _trusted(cls, ctx: GaugeContext, coeffs: tuple[RingElement, ...]) -> "GaugeElement":
+        """Wrap dim-many functions over the context's ring."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.coeffs = coeffs
+        return self
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.coeffs)
@@ -240,16 +260,16 @@ class GaugeElement:
     __hash__ = None
 
     def __add__(self, other: "GaugeElement") -> "GaugeElement":
-        return GaugeElement(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return GaugeElement._trusted(self.ctx, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "GaugeElement") -> "GaugeElement":
-        return GaugeElement(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return GaugeElement._trusted(self.ctx, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "GaugeElement":
-        return GaugeElement(self.ctx, tuple(-a for a in self.coeffs))
+        return GaugeElement._trusted(self.ctx, tuple(-a for a in self.coeffs))
 
     def scale(self, c) -> "GaugeElement":
-        return GaugeElement(self.ctx, tuple(c * a for a in self.coeffs))
+        return GaugeElement._trusted(self.ctx, tuple(c * a for a in self.coeffs))
 
     def text(self) -> str:
         parts = [f"({f.text()}) {self.ctx.lie.names[a]}"
@@ -320,9 +340,7 @@ def module_action(cochain: Cochain) -> Callable:
 def domain_bracket(cochain: Cochain) -> Callable:
     if cochain.domain == "fields":
         return lambda x, y: x.bracket(y)
-    if cochain.domain == "gauge":
-        return cochain.ctx.bracket
-    return lambda x, y: cochain.ctx.bracket(x, y)  # FiniteLieAlgebra
+    return cochain.ctx.bracket  # GaugeContext or FiniteLieAlgebra
 
 
 def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
@@ -397,31 +415,15 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
         params=dict(cochain.spec_dict(), radius=radius), text=text)
 
 
-def check_maurer_cartan(coframe: Sequence[PForm],
-                        structure: Sequence[Sequence[Sequence]] | None = None,
-                        name: str = "maurer_cartan",
+def check_maurer_cartan(coframe: Sequence[PForm], name: str = "maurer_cartan",
                         params: dict | None = None) -> CheckReport:
-    """Check d kappa^a + 1/2 sum c^a_{bc} kappa^b ^ kappa^c = 0.
+    """Check the abelian Maurer-Cartan equation d kappa^a = 0.
 
-    `structure[b][c][a]` are structure constants; None means abelian.
-    The frame coframe is closed and abelian, so it passes with zero
-    structure; a non-flat coframe yields an explicit failing residual.
+    The frame coframe is closed in both models, so it passes; a non-flat
+    coframe yields an explicit failing residual.
     """
-    k = len(coframe)
-
-    def residual(a: int) -> PForm:
-        out = ext_d(coframe[a])
-        if structure is not None:
-            for b in range(k):
-                for c in range(k):
-                    coeff = structure[b][c][a]
-                    if coeff:
-                        out = out + coframe[b].wedge(coframe[c]).scale(
-                            Fraction(coeff, 2))
-        return out
-
-    return run_check(name, params or {}, ((a,) for a in range(k)), True,
-                     residual, lambda a: coframe[a].text())
+    return run_check(name, params or {}, ((a,) for a in range(len(coframe))), True,
+                     lambda a: ext_d(coframe[a]), lambda a: coframe[a].text())
 
 
 # -- finite-dimensional cohomology ------------------------------------------
@@ -442,8 +444,8 @@ def ce_matrix(lie: FiniteLieAlgebra, p: int):
         for S in targets:
             for i, j in combinations(range(p + 1), 2):
                 rest = S[:i] + S[i + 1:j] + S[j + 1:]
-                for k, coeff in enumerate(lie.c[S[i]][S[j]]):
-                    if not coeff or k in rest:
+                for k, coeff in lie.sparse.get((S[i], S[j]), ()):
+                    if k in rest:
                         continue
                     sign, T = _insert_sign(k, rest)
                     yield T, S, (-1) ** (i + j) * sign * coeff

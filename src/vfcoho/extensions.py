@@ -72,20 +72,10 @@ class InvariantForm:
 
 
 def killing_form(lie: FiniteLieAlgebra) -> InvariantForm:
-    """B(x, y) = trace(ad x . ad y) from the structure constants."""
-    dim = lie.dim
-    matrix = [[0] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            total = 0
-            for k in range(dim):
-                # (ad a . ad b) e_k = [a, [b, e_k]]
-                inner = lie.c[b][k]
-                for m, coeff in enumerate(inner):
-                    if coeff:
-                        total += coeff * lie.c[a][m][k]
-            matrix[a][b] = total
-    return InvariantForm(lie, matrix)
+    """B(x, y) = trace(ad x . ad y): the `trace_form` of the adjoint
+    representation, (ad x_a)_{ij} = c[a][j][i]."""
+    idx = range(lie.dim)
+    return trace_form(lie, [[[lie.c[a][j][i] for j in idx] for i in idx] for a in idx])
 
 
 def trace_form(lie: FiniteLieAlgebra, rep: Sequence) -> InvariantForm:

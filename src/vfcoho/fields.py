@@ -4,7 +4,10 @@ crossed homomorphism that drives all the trace cocycles.
 A field is X = sum_i f_i E_i with exact coefficients.  The frame fields
 commute in both models, so the bracket is
 
-    [X, Y]_j = sum_i (f_i E_i(g_j) - g_i E_i(f_j)).
+    [X, Y]_j = sum_i (f_i E_i(g_j) - g_i E_i(f_j)) = X.g_j - Y.f_j,
+
+with the derivation action X.f of `forms.field_action`, which this module
+re-exports.
 
 `neg_jacobian` sends X to the matrix u(X)_{ij} = -E_j(f_i), the negative
 Jacobian of the coefficient vector in the frame.  It satisfies
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .forms import PForm
+from .forms import PForm, field_action
 from .rings import MODELS, MismatchError, RingElement, as_scalar
 
 MatrixEntries = dict[tuple[int, int], RingElement | PForm]
@@ -92,31 +95,13 @@ class VectorField:
     def bracket(self, other: "VectorField") -> "VectorField":
         if self.n != other.n or self.model != other.model:
             raise MismatchError("mixed models or dimensions")
-        out = []
-        for j in range(1, self.n + 1):
-            acc = RingElement.zero(self.n, self.model)
-            for i in range(1, self.n + 1):
-                fi, gi = self.coeffs[i - 1], other.coeffs[i - 1]
-                if fi:
-                    acc = acc + fi * other.coeffs[j - 1].derive(i)
-                if gi:
-                    acc = acc - gi * self.coeffs[j - 1].derive(i)
-            out.append(acc)
-        return VectorField(tuple(out))
+        return VectorField(tuple(field_action(self, g) - field_action(other, f)
+                                 for f, g in zip(self.coeffs, other.coeffs)))
 
     def text(self) -> str:
         parts = [f"({f.text()}) E_{i}" for i, f in enumerate(self.coeffs, start=1)
                  if not f.is_zero()]
         return " + ".join(parts) if parts else "0"
-
-
-def field_action(x: VectorField, f: RingElement) -> RingElement:
-    """Derivation action X.f = sum_i f_i E_i(f)."""
-    acc = RingElement.zero(x.n, x.model)
-    for i, coeff in enumerate(x.coeffs, start=1):
-        if coeff:
-            acc = acc + coeff * f.derive(i)
-    return acc
 
 
 class MatrixFunction:
@@ -125,7 +110,8 @@ class MatrixFunction:
 
     Entries are all `RingElement`s or all `PForm`s over one ring; a product
     multiplies entries with `*`, which is the wedge product for forms.
-    `trace` and `scale` take function entries only.
+    `scale` takes function entries only; `trace` sums function entries,
+    or form entries from the zero `degree`-form when `degree` is given.
     Products of Jacobians of monomial fields stay single-row, so sparse
     storage is what keeps the trace cocycles cheap.
 
@@ -224,8 +210,9 @@ class MatrixFunction:
     def commutator(self, other: "MatrixFunction") -> "MatrixFunction":
         return (self @ other) - (other @ self)
 
-    def trace(self) -> RingElement:
-        acc = RingElement.zero(self.n, self.model)
+    def trace(self, degree: int | None = None) -> RingElement | PForm:
+        acc = (RingElement.zero(self.n, self.model) if degree is None
+               else PForm.zero(self.n, self.model, degree))
         for (i, j), f in self.entries.items():
             if i == j:
                 acc = acc + f

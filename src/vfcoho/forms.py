@@ -9,13 +9,19 @@ differential a purely combinatorial operation on terms.
 The quotient of p-forms modulo exact ones has a canonical representative
 computed by `reduce_mod_exact`:
 
-* torus: for each Fourier mode m != 0 the operator alpha |-> mu_m ^ alpha
-  (mu_m = sum_j m_j kappa_j) is exact, and the terms free of the pivot
-  coframe index (the first j with m_j != 0) are a complete set of
+* torus: the representative is w - d(h w), for the homotopy h that is
+  i_(E_p) / m_p on a mode m != 0 with pivot p (the first j with m_j != 0)
+  and 0 on mode 0.  On mode m, d is mu_m ^ (mu_m = sum_j m_j kappa_j), so
+  d h + h d = i_(E_p)(mu_m) / m_p = 1 there, and w - d(h w) = h(d w) is
+  free of kappa_p.  The terms free of the pivot are a complete set of
   representatives.  Mode 0 is untouched.
 * affine: the differential preserves total weight (polynomial degree plus
   form degree), so each weight component is reduced against an echelon
   basis of the image of d.
+
+`field_action` (X.f for a field X = sum_i f_i E_i), `contract` and
+`lie_derive` take a field by its coefficients; `fields` builds the field
+bracket and the derivation of matrix entries on `field_action`.
 
 Both models split into finite components that d preserves (`_component`),
 and every matrix of d on a graded piece comes from `_d_matrix`, which reads
@@ -310,54 +316,41 @@ def contract(field, w: PForm) -> PForm:
     return PForm._trusted(w.n, w.model, w.degree - 1, partial)
 
 
+def field_action(x, f: RingElement) -> RingElement:
+    """Derivation action X.f = sum_i f_i E_i(f) of X = sum_i f_i E_i."""
+    acc = RingElement.zero(x.n, x.model)
+    if f:
+        for i, coeff in enumerate(x.coeffs, start=1):
+            if coeff:
+                acc = acc + coeff * f.derive(i)
+    return acc
+
+
 def lie_derive(field, w: PForm) -> PForm:
-    """Lie derivative via the Cartan formula L_X = i_X d + d i_X."""
+    """Lie derivative: the derivation action on 0-forms, the Cartan formula
+    L_X = i_X d + d i_X above them."""
     if w.degree == 0:
-        total = RingElement.zero(w.n, w.model)
-        f = w.as_ring()
-        for i, coeff in enumerate(field.coeffs, start=1):
-            total = total + coeff * f.derive(i)
-        return PForm.from_ring(total)
-    first = contract(field, ext_d(w)) if w.degree < w.n else PForm.zero(w.n, w.model, w.degree)
-    return first + ext_d(contract(field, w))
+        return PForm.from_ring(field_action(field, w.as_ring()))
+    return contract(field, ext_d(w)) + ext_d(contract(field, w))
 
 
 # -- quotient modulo exact forms ------------------------------------------
 
 
 def _reduce_torus(w: PForm) -> PForm:
-    out: dict[Key, int | Fraction] = {}
-
-    def put(key: Key, value) -> None:
-        s = out.get(key, 0) + value
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
+    """w - d(h w): h sends a term c t^m kappa_I whose subset holds the
+    pivot p of m, at place pos, to (-1)^pos c/m_p t^m kappa_(I minus p),
+    and every other term to 0."""
+    eta: dict[Key, int | Fraction] = {}
     for (mode, subset), c in w.terms.items():
-        if not any(mode):
-            put((mode, subset), c)
-            continue
-        pivot = next(j for j, e in enumerate(mode, start=1) if e)
-        if pivot not in subset:
-            put((mode, subset), c)
-            continue
-        # kappa_I = sign * kappa_pivot ^ alpha; replace kappa_pivot by
-        # -(mu_m - m_pivot kappa_pivot)/m_pivot, which differs by an exact form.
-        pos = subset.index(pivot)
-        sign = (-1) ** pos
-        alpha = subset[:pos] + subset[pos + 1:]
-        mp = mode[pivot - 1]
-        for j, e in enumerate(mode, start=1):
-            if j == pivot or e == 0:
-                continue
-            ins = _insert_sign(j, alpha)
-            if ins is None:
-                continue
-            jsign, merged = ins
-            put((mode, merged), -sign * jsign * Fraction(e, mp) * c)
-    return PForm._trusted(w.n, w.model, w.degree, out)
+        pivot = next((j for j, e in enumerate(mode, start=1) if e), None)
+        if pivot in subset:
+            pos = subset.index(pivot)
+            eta[(mode, subset[:pos] + subset[pos + 1:])] = \
+                (-1) ** pos * Fraction(c, mode[pivot - 1])
+    if not eta:
+        return w
+    return w - ext_d(PForm._trusted(w.n, w.model, w.degree - 1, eta))
 
 
 def _component(model: str, key: Key) -> Mode | int:

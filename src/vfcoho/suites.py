@@ -335,28 +335,22 @@ def suite_relations(cfg: RunConfig) -> list[CheckReport]:
 
     gl_ctx = GaugeContext(FiniteLieAlgebra.gl(n), gl_defining_rep(n), n, model)
     for k in (1, 2):
-        pb_odd = pullback_by_crossed_hom(gauge_odd_trace(k, gl_ctx), neg_jacobian)
-        st = scalar_trace_cocycle(k, n, model)
+        pairs = [("odd", gauge_odd_trace(k, gl_ctx), scalar_trace_cocycle(k, n, model)),
+                 ("reduced", gauge_reduced_trace(k, gl_ctx),
+                  reduced_trace_cocycle(k, n, model))]
+        if k <= n:
+            pairs.append(("form", gauge_form_trace(k, gl_ctx),
+                          form_trace_cocycle(k, n, model)))
+        for family, gauge, field_cochain in pairs:
+            pb = pullback_by_crossed_hom(gauge, neg_jacobian)
 
-        def odd_residual(*args, pb=pb_odd, st=st):
-            return pb.evaluate(*args) - st.evaluate(*args)
+            def residual(*args, pb=pb, fc=field_cochain):
+                return pb.evaluate(*args) - fc.evaluate(*args)
 
-        reports.append(check_identity(
-            f"relation:pullback-odd-trace[{k}]", fields_list, 2 * k - 1,
-            odd_residual, cfg, random_element=rnd_field,
-            params={"dim": n, "model": model}))
-
-        pb_red = pullback_by_crossed_hom(gauge_reduced_trace(k, gl_ctx),
-                                         neg_jacobian)
-        rt = reduced_trace_cocycle(k, n, model)
-
-        def red_residual(*args, pb=pb_red, rt=rt):
-            return pb.evaluate(*args) - rt.evaluate(*args)
-
-        reports.append(check_identity(
-            f"relation:pullback-reduced-trace[{k}]", fields_list, k,
-            red_residual, cfg, random_element=rnd_field,
-            params={"dim": n, "model": model}))
+            reports.append(check_identity(
+                f"relation:pullback-{family}-trace[{k}]", fields_list,
+                field_cochain.degree, residual, cfg, random_element=rnd_field,
+                params={"dim": n, "model": model}))
 
     for m in (TORUS, AFFINE):
         coframe = [PForm.kappa(n, m, i) for i in range(1, n + 1)]

@@ -140,6 +140,8 @@ def test_criterion_06_relation_suite():
         "relation:pullback-odd-trace[2]",
         "relation:pullback-reduced-trace[1]",
         "relation:pullback-reduced-trace[2]",
+        "relation:pullback-form-trace[1]",
+        "relation:pullback-form-trace[2]",
         "relation:maurer-cartan:torus",
         "relation:maurer-cartan:affine",
     }

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from vfcoho import (AFFINE, TORUS, FiniteLieAlgebra, GaugeContext,
+from vfcoho import (AFFINE, TORUS, Cochain, FiniteLieAlgebra, GaugeContext,
                     MismatchError, PForm, RingElement, VectorField, divergence,
                     ext_d, form_trace_cocycle, gauge_form_trace,
                     gauge_odd_trace, gauge_reduced_trace, is_cocycle,
@@ -14,6 +14,7 @@ from vfcoho import (AFFINE, TORUS, FiniteLieAlgebra, GaugeContext,
                     reduce_mod_exact, reduced_trace_cocycle,
                     scalar_trace_cocycle, wedge_pair_cocycle)
 from vfcoho import cocycles as cocycles_module
+from vfcoho import suites
 from vfcoho.cocycles import (closed_pair_cocycle, divfree_basis,
                              h2_reduced_one_form_generators, perm_sign)
 from vfcoho.cohomology import ce_apply, gl_defining_rep, sl2_defining_rep
@@ -362,6 +363,27 @@ def test_pullbacks_recover_field_cocycles():
         for _ in range(4):
             args = seeded_fields(k, seed=37 + k)
             assert pulled.evaluate(*args) == direct.evaluate(*args)
+
+
+def _signed_gauge_form_trace(k, ctx):
+    """gauge_form_trace with the signed trace sum as its factor, which makes
+    [2] identically zero (Tr(AB) - Tr(BA) = 0) and leaves [1] unchanged."""
+    cache = {}
+
+    def ev(*elements):
+        slots = [cocycles_module._slot(u, True) for u in elements]
+        return cocycles_module._gauge_sum(ctx, slots, k, True, cache)
+
+    return Cochain(f"gauge_form_trace[{k}]", k, ev, "gauge", "form",
+                   ctx.n, ctx.model, value_degree=k, ctx=ctx, spec={"k": k})
+
+
+def test_pullback_form_trace_check_catches_a_zero_gauge_form_trace(monkeypatch):
+    cfg = RunConfig(dim=2, samples=5, max_tuples=60)
+    monkeypatch.setattr(suites, "gauge_form_trace", _signed_gauge_form_trace)
+    status = {r.name: r.status for r in suites.suite_relations(cfg)}
+    assert status["relation:pullback-form-trace[1]"] == "pass"
+    assert status["relation:pullback-form-trace[2]"] == "fail"
 
 
 def test_gauge_traces_are_cocycles():

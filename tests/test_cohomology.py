@@ -7,9 +7,9 @@ from math import comb
 import pytest
 
 from vfcoho import (AFFINE, TORUS, Cochain, ExtensionSetup, FiniteLieAlgebra,
-                    FormClass, GaugeContext, MismatchError, PForm, RingElement,
-                    RunConfig, VectorField, betti_numbers, cochain_differential,
-                    divergence, is_cocycle, neg_jacobian)
+                    FormClass, GaugeContext, GaugeElement, MismatchError, PForm,
+                    RingElement, RunConfig, VectorField, betti_numbers,
+                    cochain_differential, divergence, is_cocycle, neg_jacobian)
 from vfcoho import suites
 from vfcoho.cohomology import (ce_matrix, check_maurer_cartan, gl_defining_rep,
                                is_equivariant, matrix_to_gauge, sl2_defining_rep,
@@ -225,6 +225,18 @@ def test_gauge_bracket_antisymmetry():
         a = ctx.random_element(rng, 1)
         b = ctx.random_element(rng, 1)
         assert (ctx.bracket(a, b) + ctx.bracket(b, a)).is_zero()
+
+
+def test_gauge_element_validates_its_coefficients():
+    ctx = GaugeContext(FiniteLieAlgebra.sl2(), sl2_defining_rep(), 2, TORUS)
+    f = RingElement.monomial(2, TORUS, (1, 0))
+    g = RingElement.monomial(3, TORUS, (1, 0, 0))
+    for coeffs in [(f,), (g, g, g), (PForm.from_ring(f),) * 3]:
+        with pytest.raises(MismatchError):
+            GaugeElement(ctx, coeffs)
+    u = GaugeElement(ctx, [f, f, f])
+    assert u + ctx.zero() == u
+    assert not ctx.bracket(ctx.basis_element((0, 1), 0), u).is_zero()
 
 
 def test_matrix_to_gauge_embeds_the_jacobian():

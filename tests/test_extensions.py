@@ -33,6 +33,16 @@ def test_trace_form_is_proportional_to_killing_on_sl2():
                for a in range(3) for b in range(3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_killing_form_of_gl_n(n):
+    """B(x, y) = 2n tr(xy) - 2 tr x tr y on the E_ab basis of gl_n."""
+    K = killing_form(FiniteLieAlgebra.gl(n))
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    assert [list(row) for row in K.matrix] == [
+        [2 * n * (b == c and a == d) - 2 * (a == b) * (c == d) for c, d in pairs]
+        for a, b in pairs]
+
+
 def test_invariant_form_rejects_non_invariant_matrix():
     from vfcoho import InvariantForm
 

@@ -1,5 +1,7 @@
 """Exterior algebra on the frame coframe and the quotient by exact forms."""
 
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -165,6 +167,27 @@ def test_affine_quotient_matches_span_membership(w, f):
     shifted = w + ext_d(f)
     assert reduce_mod_exact(shifted).is_zero() == is_exact(shifted)
     assert reduce_mod_exact(w + ext_d(f)) == reduce_mod_exact(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_torus_representatives_are_pivot_free_and_differ_by_exact(n):
+    """Every term of a torus representative with a nonzero mode is free of
+    that mode's pivot, the first index with m_p != 0, and w - rep is exact."""
+    rng = random.Random(10 + n)
+    for degree in range(n + 1):
+        subsets = list(combinations(range(1, n + 1), degree))
+        for _ in range(8):
+            w = PForm.zero(n, TORUS, degree)
+            for _ in range(4):
+                mode = tuple(rng.randint(-2, 2) for _ in range(n))
+                w = w + PForm.monomial(n, TORUS, mode, rng.choice(subsets),
+                                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            rep = reduce_mod_exact(w).rep
+            for mode, subset in rep.terms:
+                if any(mode):
+                    pivot = next(j for j, e in enumerate(mode, start=1) if e)
+                    assert pivot not in subset
+            assert is_exact(w - rep)
 
 
 def test_zero_forms_reduce_to_themselves():
