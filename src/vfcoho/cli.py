@@ -23,6 +23,7 @@ from .weil import (haefliger_dims, monomial_degree, monomial_text,
                    paper_dimension_tables, vey_basis, weil_betti)
 
 TABLE_NAMES = ("weil", "haefliger", "paper-dims", "vey")
+TABLE_MAX_DIM = {"weil": 5, "haefliger": 4, "vey": 5}
 FORMATS = ("text", "json")
 
 
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=env_default("dim", 2),
                        help="number of frame directions N (default 2)")
         p.add_argument("--model", choices=MODELS,
-                       default=env_default("model", TORUS, str),
+                       default=env_default("model", TORUS),
                        help="coefficient model (default torus)")
         p.add_argument("--radius", type=int, default=env_default("radius", 2),
                        help="mode box radius / polynomial degree bound")
@@ -49,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=env_default("seed", 7),
                        help="PRNG seed (Mersenne Twister; default 7)")
         p.add_argument("--format", dest="fmt", choices=FORMATS,
-                       default=env_default("format", "text", str))
-        p.add_argument("--out", default=env_default("out", None, str),
+                       default=env_default("format", "text"))
+        p.add_argument("--out", default=env_default("out", None),
                        help="write output to this path instead of stdout")
         p.add_argument("--max-tuples", dest="max_tuples", type=int,
                        default=env_default("max_tuples", 20000),
@@ -138,21 +139,12 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 def _table_rows(cfg: RunConfig, which: str, degree: int | None) -> list[dict]:
     n = cfg.dim
     if which == "weil":
-        if not 1 <= n <= 5:
-            raise SystemExit(
-                f"vfcoho: table weil supports 1 <= dim <= 5, got {n}")
         return [{"degree": q, "dim": b}
                 for q, b in enumerate(weil_betti(n)) if b]
     if which == "haefliger":
-        if not 1 <= n <= 4:
-            raise SystemExit(
-                f"vfcoho: table haefliger supports 1 <= dim <= 4, got {n}")
         return [{"space": f"H^{s}(V_T)", "dim": v}
                 for s, v in sorted(haefliger_dims(n).items())]
     if which == "vey":
-        if not 1 <= n <= 5:
-            raise SystemExit(
-                f"vfcoho: table vey supports 1 <= dim <= 5, got {n}")
         return [{"degree": monomial_degree(m), "monomial": monomial_text(m)}
                 for m in vey_basis(n, degree)]
     return paper_dimension_tables(n)
@@ -209,6 +201,9 @@ def main(argv=None) -> int:
         parser.error("--samples must be >= 0")
     if args.max_tuples < 1:
         parser.error("--max-tuples must be >= 1")
+    if args.dim > TABLE_MAX_DIM.get(getattr(args, "which", None), args.dim):
+        parser.error(f"table {args.which} supports --dim <= "
+                     f"{TABLE_MAX_DIM[args.which]}, got {args.dim}")
     cfg = config_from_args(args)
     if args.command == "verify":
         return cmd_verify(cfg, args.suite)

@@ -220,7 +220,7 @@ def scalar_trace_cocycle(k: int, n: int, model: str) -> Cochain:
             return RingElement.zero(n, model)
         if arity == 1:
             return mats[0].trace()
-        return arity * (mats[0] @ _standard_polynomial(mats[1:], keys[1:], memo)).trace()
+        return arity * mats[0].trace_product(_standard_polynomial(mats[1:], keys[1:], memo))
 
     return Cochain(f"scalar_trace[{k}]", arity, ev, "fields", "ring", n, model,
                    spec={"k": k})

@@ -159,15 +159,10 @@ def validate_rep(lie: FiniteLieAlgebra, rep: Sequence) -> None:
     size = len(rep[0])
     for a in range(lie.dim):
         for b in range(lie.dim):
-            left = mat_mul([list(r) for r in rep[a]], [list(r) for r in rep[b]])
-            right = mat_mul([list(r) for r in rep[b]], [list(r) for r in rep[a]])
+            left, right = mat_mul(rep[a], rep[b]), mat_mul(rep[b], rep[a])
             comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
-            want = [[0] * size for _ in range(size)]
-            for k, coeff in enumerate(lie.c[a][b]):
-                if coeff:
-                    for i in range(size):
-                        for j in range(size):
-                            want[i][j] += coeff * rep[k][i][j]
+            want = [[sum(coeff * rep[k][i][j] for k, coeff in enumerate(lie.c[a][b]))
+                     for j in range(size)] for i in range(size)]
             if comm != want:
                 raise MismatchError(f"representation fails on basis pair ({a},{b})")
 

@@ -111,7 +111,9 @@ class MatrixFunction:
     Entries are all `RingElement`s or all `PForm`s over one ring; a product
     multiplies entries with `*`, which is the wedge product for forms.
     `scale` takes function entries only; `trace` sums function entries,
-    or form entries from the zero `degree`-form when `degree` is given.
+    or form entries from the zero `degree`-form when `degree` is given;
+    `trace_product` is Tr(self @ other) for function entries, without the
+    off-diagonal entries of the product.
     Products of Jacobians of monomial fields stay single-row, so sparse
     storage is what keeps the trace cocycles cheap.
 
@@ -217,6 +219,11 @@ class MatrixFunction:
             if i == j:
                 acc = acc + f
         return acc
+
+    def trace_product(self, other: "MatrixFunction") -> RingElement:
+        self._compatible(other)
+        return sum((f * other.entries[(k, i)] for (i, k), f in self.entries.items()
+                    if (k, i) in other.entries), RingElement.zero(self.n, self.model))
 
     def entrywise(self, fn: Callable) -> "MatrixFunction":
         """The matrix of fn(entry), zero results dropped; fn must map valid

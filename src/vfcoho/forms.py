@@ -17,7 +17,10 @@ computed by `reduce_mod_exact`:
   representatives.  Mode 0 is untouched.
 * affine: the differential preserves total weight (polynomial degree plus
   form degree), so each weight component is reduced against an echelon
-  basis of the image of d.
+  basis of the image of d (`linalg.echelon`, cached), with the terms as
+  columns in the sorted basis order.  `linalg.reduce` leaves the one
+  element of the class that is zero at every pivot column, so the
+  representative does not depend on how the echelon basis was found.
 
 `field_action` (X.f for a field X = sum_i f_i E_i), `contract` and
 `lie_derive` take a field by its coefficients; `fields` builds the field
@@ -25,7 +28,7 @@ bracket and the derivation of matrix entries on `field_action`.
 
 Both models split into finite components that d preserves (`_component`),
 and every matrix of d on a graded piece comes from `_d_matrix`, which reads
-it off the `ext_d` images of basis monomials.
+it off the `ext_d` images of basis monomials as `linalg` dict rows.
 
 `FormClass` wraps a reduced representative; equality of classes is
 equality of representatives.
@@ -40,12 +43,12 @@ stored as `int`) without checking modes and subsets again.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import cohomology_dims, in_span, reduce_against, rref, sparse_matrix
+from .linalg import cohomology_dims, echelon, reduce, sparse_matrix
 from .rings import (AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement,
                     _check_mode, _demote, affine_modes, as_scalar, box_modes,
                     scalar_text)
@@ -373,7 +376,7 @@ def _component_basis(n: int, model: str, degree: int, component: Mode | int) -> 
                   for mode in modes)
 
 
-def _d_matrix(n: int, model: str, degree: int, component: Mode | int) -> list[list]:
+def _d_matrix(n: int, model: str, degree: int, component: Mode | int) -> list[dict]:
     """Matrix of d from degree to degree + 1 inside one component, built
     from the `ext_d` images of the basis monomials."""
     sources = _component_basis(n, model, degree, component)
@@ -383,28 +386,36 @@ def _d_matrix(n: int, model: str, degree: int, component: Mode | int) -> list[li
          for image, c in ext_d(PForm._trusted(n, model, degree, {key: 1})).terms.items()))
 
 
-@lru_cache(maxsize=None)
-def _affine_exact_rref(n: int, degree: int, weight: int):
-    """Echelon basis of the image of d inside the (degree, weight) component."""
-    rows, pivots = rref(_d_matrix(n, AFFINE, degree - 1, weight))
-    return (tuple(map(tuple, rows)), tuple(pivots),
-            tuple(_component_basis(n, AFFINE, degree, weight)))
+def _exact_image(model: str, n: int, degree: int, component: Mode | int):
+    """Echelon basis of the image of d inside one component of the
+    degree-`degree` forms, the component's basis keys, and their columns."""
+    keys = _component_basis(n, model, degree, component)
+    return (echelon(_d_matrix(n, model, degree - 1, component)), keys,
+            {key: j for j, key in enumerate(keys)})
+
+
+# (n, degree, weight) -> the `_exact_image` of an affine weight component
+_affine_exact_rref = lru_cache(maxsize=None)(partial(_exact_image, AFFINE))
+
+
+def _remainder(w: PForm, image) -> dict[Key, int | Fraction]:
+    """The terms of w reduced per component against `image(component)`."""
+    by_component: dict = {}
+    for key, c in w.terms.items():
+        by_component.setdefault(_component(w.model, key), {})[key] = c
+    out: dict[Key, int | Fraction] = {}
+    for component, terms in by_component.items():
+        basis, keys, column = image(component)
+        rest = reduce({column[key]: c for key, c in terms.items()}, basis)
+        out.update((keys[j], c) for j, c in rest.items())
+    return out
 
 
 def _reduce_affine(w: PForm) -> PForm:
     if w.degree == 0:
         return w
-    by_weight: dict[int, dict[Key, int | Fraction]] = {}
-    for key, c in w.terms.items():
-        by_weight.setdefault(_component(AFFINE, key), {})[key] = c
-    out: dict[Key, int | Fraction] = {}
-    for weight, component in sorted(by_weight.items()):
-        rows, pivots, basis = _affine_exact_rref(w.n, w.degree, weight)
-        vec = reduce_against([component.get(key, 0) for key in basis], rows, pivots)
-        for key, c in zip(basis, vec):
-            if c:
-                out[key] = c
-    return PForm._trusted(w.n, w.model, w.degree, out)
+    return PForm._trusted(w.n, w.model, w.degree,
+                          _remainder(w, partial(_affine_exact_rref, w.n, w.degree)))
 
 
 def reduce_mod_exact(w: PForm) -> "FormClass":
@@ -469,20 +480,14 @@ class FormClass:
 
 
 def is_exact(w: PForm) -> bool:
-    """Membership in the image of d, decided per graded component.
+    """Membership in the image of d, decided per graded component against
+    an echelon basis of `_d_matrix`, in both models.
 
-    Used as an independent cross-check on `reduce_mod_exact`: a form
-    reduces to zero exactly when it is a sum of differentials.
+    Used as an independent cross-check on `reduce_mod_exact` (on the torus
+    it does not use the homotopy): a form reduces to zero exactly when it
+    is a sum of differentials.
     """
-    by_component: dict = {}
-    for key, c in w.terms.items():
-        by_component.setdefault(_component(w.model, key), {})[key] = c
-    for component, terms in by_component.items():
-        basis = _component_basis(w.n, w.model, w.degree, component)
-        vec = [terms.get(key, 0) for key in basis]
-        if in_span(vec, _d_matrix(w.n, w.model, w.degree - 1, component)) is None:
-            return False
-    return True
+    return not _remainder(w, partial(_exact_image, w.model, w.n, w.degree))
 
 
 _MAX_WEIGHT = 4

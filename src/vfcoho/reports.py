@@ -83,15 +83,10 @@ class RunConfig:
 ENV_PREFIX = "VFCOHO"
 
 
-def env_default(name: str, fallback, cast=int):
-    """Environment override for a CLI flag, e.g. VFCOHO_DIM for --dim."""
-    raw = os.environ.get(f"{ENV_PREFIX}_{name.upper()}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"bad value for {ENV_PREFIX}_{name.upper()}: {raw!r}") from exc
+def env_default(name: str, fallback):
+    """Environment override for a CLI flag, e.g. VFCOHO_DIM for --dim: the raw
+    string, which argparse converts by the flag's `type`, or `fallback`."""
+    return os.environ.get(f"{ENV_PREFIX}_{name.upper()}", fallback)
 
 
 def dumps(document: Any) -> str:

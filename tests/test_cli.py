@@ -112,8 +112,18 @@ def test_table_haefliger(golden):
 
 
 def test_table_range_guard():
-    out = run_cli("table", "weil", "--dim", "6")
-    assert out.returncode != 0
+    for which, dim in (("weil", 6), ("haefliger", 5), ("vey", 6)):
+        out = run_cli("table", which, "--dim", str(dim))
+        assert out.returncode == 2, which
+        assert "--dim" in out.stderr
+        assert out.stdout == ""
+
+
+def test_a_non_integer_environment_value_is_a_usage_error():
+    out = run_cli("verify", "crossed-hom", env_extra={"VFCOHO_DIM": "abc"})
+    assert out.returncode == 2
+    assert "--dim" in out.stderr
+    assert out.stdout == ""
 
 
 def test_report_with_no_suites_is_an_empty_document():

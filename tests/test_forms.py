@@ -190,6 +190,18 @@ def test_torus_representatives_are_pivot_free_and_differ_by_exact(n):
             assert is_exact(w - rep)
 
 
+@pytest.mark.parametrize("n, mode, subset, text", [
+    (2, (0, 1), (1,), "[-1 * x^(1,0) k2]"),
+    (3, (1, 1, 0), (1, 2), "[0]"),
+    (3, (0, 2, 1), (1,), "[-2 * x^(1,1,1) k2 + -1 * x^(1,2,0) k3]"),
+])
+def test_affine_representatives_are_pinned(n, mode, subset, text):
+    """The affine representative is the one element of the class that is
+    zero at the pivot columns of the image of d; these values must not
+    depend on how the echelon basis is computed."""
+    assert reduce_mod_exact(PForm.monomial(n, AFFINE, mode, subset)).text() == text
+
+
 def test_zero_forms_reduce_to_themselves():
     f = PForm.from_ring(RingElement.monomial(2, TORUS, (1, 2), 5))
     assert reduce_mod_exact(f).rep == f

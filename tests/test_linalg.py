@@ -1,4 +1,4 @@
-"""Row echelon, rank, and span tests over exact rationals."""
+"""Sparse echelon bases, remainders and ranks over exact rationals."""
 
 import random
 from fractions import Fraction
@@ -7,73 +7,89 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vfcoho.linalg import (cohomology_dims, echelon_rank, in_span, mat_mul,
-                           reduce_against, rref, sparse_matrix)
+from vfcoho.linalg import cohomology_dims, echelon, mat_mul, reduce, sparse_matrix
 
-entries = st.integers(-4, 4).map(Fraction)
-small_matrices = st.lists(
-    st.lists(entries, min_size=3, max_size=3), min_size=1, max_size=4)
+WIDTH = 4
+rows = st.dictionaries(st.integers(0, WIDTH - 1),
+                       st.integers(-4, 4).filter(bool).map(Fraction), max_size=WIDTH)
+small_matrices = st.lists(rows, min_size=1, max_size=4)
 
 
-def test_rref_known_matrix():
-    rows, pivots = rref([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]])
-    assert pivots == [0, 1]
-    assert rows == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+def rank(matrix):
+    return len(echelon(matrix))
+
+
+def test_echelon_of_a_full_rank_matrix():
+    assert echelon([{0: 2, 1: 4}, {0: 1, 1: 3}]) == [(0, {0: 1, 1: 2}), (1, {1: 1})]
 
 
 def test_rank_deficient():
-    m = [[Fraction(1), Fraction(2), Fraction(3)],
-         [Fraction(2), Fraction(4), Fraction(6)],
-         [Fraction(0), Fraction(1), Fraction(1)]]
-    assert echelon_rank(m) == 2
+    m = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
+    assert rank(m) == 2
 
 
-def test_in_span_returns_combination_over_original_rows():
-    basis = [[Fraction(1), Fraction(0), Fraction(2)],
-             [Fraction(0), Fraction(3), Fraction(1)]]
-    target = [Fraction(2), Fraction(3), Fraction(5)]
-    coeffs = in_span(target, basis)
-    assert coeffs == [Fraction(2), Fraction(1)]
-    rebuilt = [sum(c * row[j] for c, row in zip(coeffs, basis))
-               for j in range(3)]
-    assert rebuilt == target
+def test_a_vector_outside_the_span_keeps_a_remainder():
+    basis = echelon([{0: 1}, {0: 2}])
+    assert reduce({0: 3, 1: 1}, basis) == {1: 1}
 
 
-def test_in_span_rejects_outside_vector():
-    basis = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]
-    assert in_span([Fraction(0), Fraction(1)], basis) is None
+def test_reduce_does_not_mutate_its_arguments():
+    m = [{0: 1, 1: 1}]
+    basis = echelon(m)
+    v = {0: 2, 1: 1, 2: 3}
+    reduce(v, basis)
+    assert v == {0: 2, 1: 1, 2: 3}
+    assert m == [{0: 1, 1: 1}]
 
 
-def test_reduce_against_is_idempotent_on_residual():
-    rows, pivots = rref([[Fraction(1), Fraction(1), Fraction(0)]])
-    v = [Fraction(2), Fraction(1), Fraction(3)]
-    r = reduce_against(v, rows, pivots)
-    assert reduce_against(r, rows, pivots) == r
-    assert r[0] == 0
+@given(small_matrices)
+def test_echelon_rows_start_at_their_pivot_with_entry_one(m):
+    basis = echelon(m)
+    pivots = [p for p, _ in basis]
+    assert pivots == sorted(set(pivots))
+    for pivot, row in basis:
+        assert min(row) == pivot and row[pivot] == 1
 
 
 @given(small_matrices)
 def test_rank_is_shuffle_invariant(m):
     shuffled = list(m)
     random.Random(11).shuffle(shuffled)
-    assert echelon_rank(m) == echelon_rank(shuffled)
+    assert rank(m) == rank(shuffled)
 
 
 @given(small_matrices)
 def test_every_row_lies_in_its_own_span(m):
+    basis = echelon(m)
     for row in m:
-        coeffs = in_span(row, m)
-        assert coeffs is not None
-        rebuilt = [sum(c * r[j] for c, r in zip(coeffs, m))
-                   for j in range(len(row))]
-        assert rebuilt == row
+        assert reduce(row, basis) == {}
 
 
-@given(small_matrices)
-def test_rref_rank_matches_pivot_count(m):
-    rows, pivots = rref(m)
-    assert echelon_rank(m) == len(pivots)
-    assert len(rows) == len(pivots)
+@given(small_matrices, rows)
+def test_reduce_is_idempotent_and_zero_at_every_pivot(m, v):
+    basis = echelon(m)
+    rest = reduce(v, basis)
+    assert reduce(rest, basis) == rest
+    assert all(pivot not in rest for pivot, _ in basis)
+
+
+@given(small_matrices, rows, st.randoms(use_true_random=False))
+def test_the_remainder_depends_only_on_the_span(m, v, rng):
+    """Shuffling the rows, rescaling them and adding one row to another
+    keep the span, so they keep the remainder of every vector."""
+    shuffled = list(m)
+    rng.shuffle(shuffled)
+    scales = [rng.choice((-3, 2, Fraction(1, 2))) for _ in m]
+    changed = [{col: c * x for col, x in row.items()} for c, row in zip(scales, m)]
+    if len(changed) > 1:
+        i, j = rng.sample(range(len(changed)), 2)
+        total = dict(changed[i])
+        for col, x in changed[j].items():
+            total[col] = total.get(col, 0) + x
+        changed[i] = {col: x for col, x in total.items() if x}
+    expected = reduce(v, echelon(m))
+    assert reduce(v, echelon(shuffled)) == expected
+    assert reduce(v, echelon(changed)) == expected
 
 
 def test_mat_mul_associates():
@@ -90,7 +106,7 @@ def test_sparse_matrix_adds_repeated_pairs():
     m = sparse_matrix(["u", "v"], ["x", "y", "z"],
                       [("u", "y", 2), ("v", "x", 1), ("u", "y", Fraction(1, 2)),
                        ("v", "x", -1)])
-    assert m == [[0, Fraction(5, 2), 0], [0, 0, 0]]
+    assert m == [{1: Fraction(5, 2)}, {}]
 
 
 @pytest.mark.parametrize("entry", [("w", "x", 1), ("u", "w", 1)],
@@ -106,6 +122,6 @@ def test_cohomology_dims_of_the_triangle_circle():
     d0 = sparse_matrix(vertices, edges,
                        [(v, e, 1 if v == e[1] else -1) for e in edges for v in e])
     d1 = sparse_matrix(edges, [], [])
-    assert echelon_rank(d0) == 2
+    assert rank(d0) == 2
     assert cohomology_dims([3, 3], [d0, d1]) == [1, 1]
     assert cohomology_dims([3, 3], [d0]) == [1, 1]

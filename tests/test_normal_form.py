@@ -110,6 +110,16 @@ def test_matrix_results_are_in_normal_form(data):
         assert_normal(result)
 
 
+@settings(max_examples=60)
+@given(st.data())
+def test_trace_product_is_the_trace_of_the_product(data):
+    model = data.draw(models)
+    a, b = data.draw(matrices(model)), data.draw(matrices(model))
+    result = a.trace_product(b)
+    assert result == (a @ b).trace()
+    assert_normal(result)
+
+
 @pytest.mark.parametrize("entry", [0.5, 1.0, Fraction(1, 2), True],
                          ids=["fractional-float", "integral-float", "fraction", "bool"])
 @pytest.mark.parametrize("model", MODELS)
