@@ -62,7 +62,7 @@ from .cohomology import Cochain, GaugeContext, cochain_wedge
 from .fields import MatrixFunction, VectorField, divergence, neg_jacobian
 from .forms import PForm, contract, ext_d, reduce_mod_exact
 from .linalg import mat_mul
-from .rings import MismatchError, RingElement, box_modes
+from .rings import TORUS, MismatchError, RingElement, model_modes
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -417,7 +417,7 @@ def h2_reduced_one_form_generators(n: int, model: str = "torus") -> list[Cochain
 def divfree_basis(n: int, model: str, radius: int) -> list[VectorField]:
     """Constants plus the rotation family t^m (m_j E_i - m_i E_j), i < j."""
     fields = [VectorField.basis(n, model, (0,) * n, i) for i in range(1, n + 1)]
-    for mode in box_modes(n, radius):
+    for mode in model_modes(TORUS, n, radius):
         if not any(mode):
             continue
         for i in range(1, n + 1):

@@ -320,11 +320,11 @@ def zero_value(values: str, n: int, model: str, degree: int | None):
     return 0
 
 
-def module_action(cochain: Cochain) -> Callable:
-    """How a domain element acts on the cochain's values."""
+def module_action(cochain: Cochain) -> Callable | None:
+    """How a domain element acts on the cochain's values, or None where it
+    acts trivially: on gauge and finite domains, and on scalar values."""
     if cochain.domain != "fields" or cochain.values == "scalar":
-        zero = zero_value(cochain.values, cochain.n, cochain.model, cochain.value_degree)
-        return lambda x, v: zero
+        return None
     if cochain.values == "ring":
         return field_action
     if cochain.values == "form":
@@ -347,10 +347,9 @@ def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
     action = action or module_action(cochain)
     bracket_fn = bracket_fn or domain_bracket(cochain)
     total = zero_value(cochain.values, cochain.n, cochain.model, cochain.value_degree)
-    for i, x in enumerate(args):
+    for i, x in enumerate(args if action else ()):  # no sum for a trivial module
         rest = args[:i] + args[i + 1:]
-        inner = cochain.evaluate(*rest)
-        acted = action(x, inner)
+        acted = action(x, cochain.evaluate(*rest))
         total = total + acted if i % 2 == 0 else total - acted
     for i in range(p + 1):
         for j in range(i + 1, p + 1):
@@ -510,7 +509,7 @@ def is_equivariant(cochain: Cochain, radius: int = 1, samples: int = 50,
     ctx: GaugeContext = cochain.ctx
     fields_cochain = Cochain("_", 0, lambda: None, "fields", cochain.values,
                              cochain.n, cochain.model, cochain.value_degree)
-    act = module_action(fields_cochain)
+    act = module_action(fields_cochain) or (lambda x, v: 0)
     fields = basis_fields(cochain.model, cochain.n, radius)
     gauge = ctx.basis_elements(model_modes(cochain.model, cochain.n, radius))
     k = cochain.degree

@@ -33,11 +33,19 @@ it off the `ext_d` images of basis monomials as `linalg` dict rows.
 `FormClass` wraps a reduced representative; equality of classes is
 equality of representatives.
 
+`PForm` is a `rings.Terms`, keyed by (mode, coframe subset), so it shares
+its sums, negation, scaling, equality and text with `RingElement`; it adds
+the degree, `from_ring`/`as_ring`, `mul_ring` and the wedge product.  Forms
+of different degrees do not add, not even when one of them is zero.
+
 As in `rings`, the public constructors (`PForm(...)`, `monomial`, `kappa`)
 validate every scalar, mode and coframe subset, and results built by
 arithmetic on valid forms are trusted: they go through `PForm._trusted`,
 which keeps the normal form (no zero coefficient, integral Fractions
 stored as `int`) without checking modes and subsets again.
+
+>>> PForm.monomial(2, TORUS, (1, 0), (1, 2), Fraction(1, 2)).text()
+'1/2 * t^(1,0) k1^k2'
 """
 
 from __future__ import annotations
@@ -50,8 +58,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import cohomology_dims, echelon, reduce, sparse_matrix
 from .rings import (AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement,
-                    _check_mode, _demote, affine_modes, as_scalar, box_modes,
-                    scalar_text)
+                    Terms, _check_mode, _demote, as_scalar, model_modes)
 
 Subset = tuple[int, ...]
 Key = tuple[Mode, Subset]
@@ -82,10 +89,10 @@ def _merge_sign(left: Subset, right: Subset) -> tuple[int, Subset] | None:
     return (-1) ** inversions, tuple(sorted(left + right))
 
 
-class PForm:
+class PForm(Terms):
     """Sparse exact p-form in the frame coframe."""
 
-    __slots__ = ("n", "model", "degree", "terms")
+    __slots__ = ("degree",)
 
     def __init__(self, n: int, model: str, degree: int,
                  terms: Mapping[Key, int | Fraction] | None = None):
@@ -125,6 +132,15 @@ class PForm:
         self.terms = _demote(terms)
         return self
 
+    def _like(self, terms: dict[Key, int | Fraction]) -> "PForm":
+        return PForm._trusted(self.n, self.model, self.degree, terms)
+
+    @staticmethod
+    def _monomial_text(var: str, key: Key) -> str:
+        mode, subset = key
+        mono = RingElement._monomial_text(var, mode)
+        return f"{mono} {'^'.join(f'k{i}' for i in subset)}" if subset else mono
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -151,65 +167,11 @@ class PForm:
         return RingElement._trusted(self.n, self.model,
                                     {m: c for (m, _), c in self.terms.items()})
 
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PForm):
-            return NotImplemented
-        return (self.n, self.model, self.degree, self.terms) == \
-            (other.n, other.model, other.degree, other.terms)
-
-    __hash__ = None
-
-    def _compatible(self, other: "PForm") -> None:
-        if self.n != other.n or self.model != other.model:
-            raise MismatchError("mixed models or dimensions")
-
-    def __add__(self, other: "PForm") -> "PForm":
-        if not isinstance(other, PForm):
-            return NotImplemented
-        self._compatible(other)
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise MismatchError(f"cannot add degrees {self.degree} and {other.degree}")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return PForm._trusted(self.n, self.model, self.degree, out)
-
-    def __neg__(self) -> "PForm":
-        return PForm._trusted(self.n, self.model, self.degree,
-                              {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "PForm") -> "PForm":
-        if not isinstance(other, PForm):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "PForm":
-        c = as_scalar(c)
-        if not c:
-            return PForm._trusted(self.n, self.model, self.degree, {})
-        return PForm._trusted(self.n, self.model, self.degree,
-                              {k: c * v for k, v in self.terms.items()})
+    # -- products ----------------------------------------------------------
 
     def mul_ring(self, f: RingElement) -> "PForm":
         """Multiply by a function (degree unchanged)."""
-        if self.n != f.n or self.model != f.model:
-            raise MismatchError("mixed models or dimensions")
+        self._compatible(f)
         out: dict[Key, int | Fraction] = {}
         for (mode, subset), c in self.terms.items():
             for fmode, fc in f.terms.items():
@@ -242,26 +204,6 @@ class PForm:
         return PForm._trusted(self.n, self.model, deg, out)
 
     __mul__ = wedge
-
-    # -- serialization -------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[Key, int | Fraction]]:
-        return sorted(self.terms.items())
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        var = "t" if self.model == TORUS else "x"
-        parts = []
-        for (mode, subset), c in self.sorted_terms():
-            mono = f"{var}^({','.join(str(e) for e in mode)})"
-            kap = "^".join(f"k{i}" for i in subset)
-            body = mono if not subset else f"{mono} {kap}"
-            if c == 1:
-                parts.append(body)
-            else:
-                parts.append(f"{scalar_text(c)} * {body}")
-        return " + ".join(parts)
 
 
 def wedge(a: PForm, b: PForm) -> PForm:
@@ -371,7 +313,7 @@ def _component_basis(n: int, model: str, degree: int, component: Mode | int) -> 
         modes = [component]
     else:
         poly = component - degree
-        modes = [m for m in affine_modes(n, poly) if sum(m) == poly]
+        modes = [m for m in model_modes(AFFINE, n, poly) if sum(m) == poly]
     return sorted((mode, subset) for subset in combinations(range(1, n + 1), degree)
                   for mode in modes)
 
@@ -501,7 +443,7 @@ def de_rham_dims(model: str, n: int, radius: int = 2) -> list[int]:
     and every other component must be exact; if not, AssertionError.
     """
     if model == TORUS:
-        components, zero = box_modes(n, radius), (0,) * n
+        components, zero = model_modes(TORUS, n, radius), (0,) * n
     elif model == AFFINE:
         components, zero = range(_MAX_WEIGHT + 1), 0
     else:

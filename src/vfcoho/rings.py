@@ -5,6 +5,14 @@ and the frame derivations E_j = t_j d/dt_j, so E_j(t^m) = m_j t^m.  The
 affine model works with ordinary polynomials Q[x_1, ..., x_N] and the
 coordinate derivations d/dx_j.  Everything else in the package is written
 against this one class, so the two geometries share all downstream code.
+`model_modes` enumerates the modes of either model up to a radius.
+
+`RingElement` and `forms.PForm` store a sparse exact sum the same way, as
+a map from a monomial key to a nonzero coefficient, and share one base,
+`Terms`, for their sums, negation, scaling, equality and text.  A function
+is a 0-form: `RingElement.degree` is the class attribute 0.  `+` and `-`
+combine two elements of one class that agree on n, model and degree, and
+raise `MismatchError` on any other pair.
 
 Scalars are `int` or `fractions.Fraction`.  Floats are rejected outright:
 every identity this package checks is decided exactly.
@@ -27,6 +35,7 @@ t^(0,-1) + t^(1,0)
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import add
 from typing import Iterable, Mapping
 
@@ -57,27 +66,13 @@ def scalar_text(value) -> str:
     return str(v)
 
 
-def box_modes(n: int, radius: int) -> list[Mode]:
-    """All torus modes with max norm <= radius, lexicographic order."""
-    modes: list[Mode] = [()]
-    for _ in range(n):
-        modes = [m + (e,) for m in modes for e in range(-radius, radius + 1)]
-    return modes
-
-
-def affine_modes(n: int, max_degree: int) -> list[Mode]:
-    """All exponents with total degree <= max_degree, lexicographic order."""
-    out = []
-
-    def rec(prefix: tuple[int, ...], budget: int) -> None:
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), budget - e)
-
-    rec((), max_degree)
-    return sorted(out)
+def model_modes(model: str, n: int, radius: int) -> list[Mode]:
+    """Every mode of the model up to `radius`, in lexicographic order: the
+    box of max norm <= radius on the torus, total degree <= radius in the
+    affine model."""
+    if model == TORUS:
+        return list(product(range(-radius, radius + 1), repeat=n))
+    return [m for m in product(range(radius + 1), repeat=n) if sum(m) <= radius]
 
 
 def _check_mode(n: int, model: str, mode: Mode) -> Mode:
@@ -100,14 +95,91 @@ def _demote(terms: dict) -> dict:
     return terms
 
 
-class RingElement:
-    """Sparse exact Laurent/polynomial element, keyed by exponent tuple.
+class Terms:
+    """A sparse exact sum: a map from monomial key to nonzero coefficient.
+
+    A subclass adds validation, `_trusted`, its constructors and products,
+    and two hooks: `_like(terms)` wraps terms of its own n, model and degree
+    through `_trusted`, and `_monomial_text(var, key)` formats one key.
 
     Immutable by convention: no method mutates `terms` after construction,
     and all arithmetic returns fresh objects.
     """
 
     __slots__ = ("n", "model", "terms")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Terms):
+            return NotImplemented
+        return (type(self) is type(other) and self.n == other.n
+                and self.model == other.model and self.degree == other.degree
+                and self.terms == other.terms)
+
+    __hash__ = None  # mutable dict inside; elements are not dict keys
+
+    def _compatible(self, other: "Terms") -> None:
+        if self.n != other.n or self.model != other.model:
+            raise MismatchError(
+                f"cannot combine ({self.n},{self.model}) with ({other.n},{other.model})"
+            )
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n or self.model != other.model or self.degree != other.degree:
+            raise MismatchError(
+                f"cannot add ({self.n},{self.model}) degree {self.degree} "
+                f"to ({other.n},{other.model}) degree {other.degree}"
+            )
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_scalar(c)
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def text(self) -> str:
+        """Canonical text form: terms in ascending key order."""
+        if not self.terms:
+            return "0"
+        var = "t" if self.model == TORUS else "x"
+        parts = []
+        for key, c in self.sorted_terms():
+            mono = self._monomial_text(var, key)
+            parts.append(mono if c == 1 else f"{scalar_text(c)} * {mono}")
+        return " + ".join(parts)
+
+
+class RingElement(Terms):
+    """Sparse exact Laurent/polynomial element, keyed by exponent tuple."""
+
+    __slots__ = ()
+    degree = 0  # a function is a 0-form
 
     def __init__(self, n: int, model: str, terms: Mapping[Mode, int | Fraction] | None = None):
         if model not in MODELS:
@@ -136,6 +208,13 @@ class RingElement:
         self.terms = _demote(terms)
         return self
 
+    def _like(self, terms: dict[Mode, int | Fraction]) -> "RingElement":
+        return RingElement._trusted(self.n, self.model, terms)
+
+    @staticmethod
+    def _monomial_text(var: str, mode: Mode) -> str:
+        return f"{var}^({','.join(str(e) for e in mode)})"
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -154,52 +233,7 @@ class RingElement:
     def monomial(cls, n: int, model: str, mode: Iterable[int], coeff=1) -> "RingElement":
         return cls(n, model, {tuple(mode): coeff})
 
-    # -- queries ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Mode, int | Fraction]]:
-        return sorted(self.terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return (self.n, self.model, self.terms) == (other.n, other.model, other.terms)
-
-    __hash__ = None  # mutable dict inside; elements are not dict keys
-
-    def _compatible(self, other: "RingElement") -> None:
-        if self.n != other.n or self.model != other.model:
-            raise MismatchError(
-                f"cannot combine ({self.n},{self.model}) with ({other.n},{other.model})"
-            )
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._compatible(other)
-        out = dict(self.terms)
-        for mode, c in other.terms.items():
-            s = out.get(mode, 0) + c
-            if s:
-                out[mode] = s
-            else:
-                out.pop(mode, None)
-        return RingElement._trusted(self.n, self.model, out)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement._trusted(self.n, self.model, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self + (-other)
+    # -- products ----------------------------------------------------------
 
     def __mul__(self, other) -> "RingElement":
         if isinstance(other, RingElement):
@@ -214,10 +248,7 @@ class RingElement:
                     else:
                         out.pop(mode, None)
             return RingElement._trusted(self.n, self.model, out)
-        c = as_scalar(other)
-        if not c:
-            return RingElement.zero(self.n, self.model)
-        return RingElement._trusted(self.n, self.model, {m: c * v for m, v in self.terms.items()})
+        return self.scale(other)
 
     def __rmul__(self, other) -> "RingElement":
         return self.__mul__(other)
@@ -250,19 +281,3 @@ class RingElement:
             else:
                 out.pop(target, None)
         return RingElement._trusted(self.n, self.model, out)
-
-    # -- serialization -------------------------------------------------------
-
-    def text(self) -> str:
-        """Canonical text form: terms in ascending lexicographic mode order."""
-        if not self.terms:
-            return "0"
-        var = "t" if self.model == TORUS else "x"
-        parts = []
-        for mode, c in self.sorted_terms():
-            mono = f"{var}^({','.join(str(e) for e in mode)})"
-            if c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{scalar_text(c)} * {mono}")
-        return " + ".join(parts)

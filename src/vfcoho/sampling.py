@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .fields import VectorField
 from .reports import CheckReport
-from .rings import TORUS, Mode, RingElement, affine_modes, box_modes
+from .rings import RingElement, model_modes
 
 
 def derive_seed(base: int, name: str) -> int:
@@ -49,10 +49,6 @@ def derive_seed(base: int, name: str) -> int:
 def check_rng(seed: int, name: str) -> random.Random:
     """The generator of one check, seeded by the base seed and its name."""
     return random.Random(derive_seed(seed, name))
-
-
-def model_modes(model: str, n: int, radius: int) -> list[Mode]:
-    return box_modes(n, radius) if model == TORUS else affine_modes(n, radius)
 
 
 def basis_fields(model: str, n: int, radius: int) -> list[VectorField]:

@@ -24,7 +24,7 @@ recomputed here).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .linalg import cohomology_dims, sparse_matrix
@@ -58,16 +58,8 @@ def monomial_text(mono: Monomial) -> str:
 
 def _c_multisets(n: int) -> list[CTuple]:
     """All nondecreasing tuples from 1..n with sum at most n."""
-    out: list[CTuple] = []
-
-    def rec(prefix: CTuple, low: int, budget: int) -> None:
-        out.append(prefix)
-        for j in range(low, n + 1):
-            if j <= budget:
-                rec(prefix + (j,), j, budget - j)
-
-    rec((), 1, n)
-    return sorted(out, key=lambda cs: (sum(cs), cs))
+    return [cs for r in range(n + 1)
+            for cs in combinations_with_replacement(range(1, n + 1), r) if sum(cs) <= n]
 
 
 @lru_cache(maxsize=None)

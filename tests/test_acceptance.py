@@ -20,7 +20,7 @@ from vfcoho import (TORUS, PForm, RingElement, RunConfig, betti_numbers,
 from vfcoho.cocycles import divfree_basis
 from vfcoho.forms import is_exact
 from vfcoho.reports import strip_timing, dumps
-from vfcoho.rings import box_modes
+from vfcoho.rings import model_modes
 from vfcoho.suites import _divfree_witness, all_passed, flatten, run_suites
 from vfcoho.weil import max_degree
 
@@ -189,7 +189,7 @@ def test_criterion_09_quotient_correctness():
     rng = random.Random(7)
     ok = True
     for n in (1, 2, 3):
-        modes = box_modes(n, 2)
+        modes = model_modes(TORUS, n, 2)
         subsets = {p: list(combinations(range(1, n + 1), p))
                    for p in range(n + 1)}
 

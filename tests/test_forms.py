@@ -82,6 +82,30 @@ def test_degree_mismatch_raises():
                                          PForm.kappa(2, TORUS, 2))
 
 
+def test_a_zero_form_does_not_add_to_another_degree():
+    with pytest.raises(MismatchError):
+        PForm.zero(2, TORUS, 1) + PForm.kappa(2, TORUS, 1).wedge(PForm.kappa(2, TORUS, 2))
+
+
+@pytest.mark.parametrize("other", [PForm.kappa(2, AFFINE, 1), PForm.kappa(3, TORUS, 1)],
+                         ids=["model", "dimension"])
+def test_form_sum_checks_model_and_dimension(other):
+    with pytest.raises(MismatchError):
+        PForm.kappa(2, TORUS, 1) + other
+    with pytest.raises(MismatchError):
+        PForm.kappa(2, TORUS, 1) - other
+
+
+def test_functions_and_zero_forms_stay_apart():
+    f = RingElement.monomial(2, TORUS, (1, -1), 3)
+    assert f != PForm.from_ring(f)
+    assert not f == PForm.from_ring(f)
+    with pytest.raises(TypeError):
+        f + PForm.from_ring(f)
+    with pytest.raises(TypeError):
+        PForm.from_ring(f) - f
+
+
 @given(forms_of_degree(0), forms_of_degree(1))
 def test_d_squared_is_zero(f, w):
     assert ext_d(ext_d(f)).is_zero()

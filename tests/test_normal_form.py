@@ -76,7 +76,7 @@ def test_ring_results_are_in_normal_form(data):
     model = data.draw(models)
     f, g = data.draw(rings(model)), data.draw(rings(model))
     c = data.draw(scalars)
-    for result in (f + g, f - g, f - f, -f, f * g, f * c, c * f):
+    for result in (f + g, f - g, f - f, -f, f * g, f * c, c * f, f.scale(c)):
         assert_normal(result)
     for j in range(1, N + 1):
         assert_normal(f.derive(j))
