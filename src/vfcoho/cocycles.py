@@ -119,7 +119,8 @@ class _TraceMemo:
 
 def _standard_polynomial(mats: Sequence[MatrixFunction], keys: Sequence,
                          memo: _TraceMemo,
-                         first: Sequence[MatrixFunction] | None = None) -> MatrixFunction:
+                         first: Sequence[MatrixFunction] | None = None,
+                         degree: int | None = None) -> MatrixFunction | PForm:
     """S_r(A_1, ..., A_r) = sum over orderings of sgn * A_s(1) ... A_s(r).
 
     Expanded along the first factor, S(T) = sum_{pos, i in T} (-1)^pos
@@ -128,28 +129,36 @@ def _standard_polynomial(mats: Sequence[MatrixFunction], keys: Sequence,
     factors' keys, so each is built once for all the evaluations that
     share it; a zero one makes every product taken with it an empty loop.
     With `first`, the leftmost factor of each ordering is F_s(1) instead of
-    A_s(1), and the whole sum, which no other evaluation shares, is not
-    kept.  Only associativity is used, so the entries may be forms.
+    A_s(1), and the value is the trace, a `degree`-form, of that sum:
+    sum_{pos, i} (-1)^pos Tr(F_i S(T minus i)) through `trace_product`.
+    It builds no entry of the whole sum, which no other evaluation shares.
+    Only associativity is used, so the entries may be forms.
     """
 
-    def standard(idx: tuple[int, ...], heads: Sequence[MatrixFunction]) -> MatrixFunction:
+    def expand(idx: tuple[int, ...], product: Callable):
         total = None
         for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            term = heads[i] @ tail(rest) if rest else heads[i]
+            term = product(i, tail(idx[:pos] + idx[pos + 1:]))
             if total is None:
                 total = term
             else:
                 total = total + term if pos % 2 == 0 else total - term
         return total
 
+    def times(i: int, rest: MatrixFunction) -> MatrixFunction:
+        return mats[i] @ rest
+
     def tail(idx: tuple[int, ...]) -> MatrixFunction:
         if len(idx) == 1:
             return mats[idx[0]]
-        return memo.get(tuple(keys[i] for i in idx), standard, idx, mats)
+        return memo.get(tuple(keys[i] for i in idx), expand, idx, times)
 
     whole = tuple(range(len(mats)))
-    return tail(whole) if first is None else standard(whole, first)
+    if first is None:
+        return tail(whole)
+    if len(whole) == 1:
+        return first[0].trace(degree)
+    return expand(whole, lambda i, rest: first[i].trace_product(rest, degree))
 
 
 def _thetas(x: VectorField) -> tuple[MatrixFunction, MatrixFunction]:
@@ -171,7 +180,7 @@ def form_trace_cocycle(k: int, n: int, model: str) -> Cochain:
             return PForm.zero(n, model, k)
         # Passing the du(X_i) as first factors too keeps the whole S_k,
         # this evaluation's own value, out of the memo.
-        return _standard_polynomial(mats, keys, memo, first=mats).trace(k)
+        return _standard_polynomial(mats, keys, memo, first=mats, degree=k)
 
     return Cochain(f"form_trace[{k}]", k, ev, "fields", "form", n, model,
                    value_degree=k, spec={"k": k})
@@ -190,7 +199,7 @@ def reduced_trace_cocycle(k: int, n: int, model: str) -> Cochain:
         keys, pairs = memo.per_field(fields, _thetas)
         thetas, dthetas = zip(*pairs)
         return reduce_mod_exact(
-            _standard_polynomial(dthetas, keys, memo, first=thetas).trace(k - 1))
+            _standard_polynomial(dthetas, keys, memo, first=thetas, degree=k - 1))
 
     return Cochain(f"reduced_trace[{k}]", k, ev, "fields", "class", n, model,
                    value_degree=k - 1, spec={"k": k})

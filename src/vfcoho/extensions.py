@@ -15,6 +15,13 @@ classes of 1-forms modulo exact forms, and tau is a field-field twist
 identity exactly on sampled triples; with a twist that is not a cocycle
 it fails with a concrete witness.
 
+The bracket is bilinear in each of the three parts: the gauge bracket
+and the pairing, the actions X.g and X.[c], tau and the field bracket are
+each bilinear, so a term with a zero factor is zero, and
+`extension_bracket` computes only the terms whose two factors are
+nonzero.  A twist must therefore be bilinear, as the `Cochain` contract
+requires, and not merely vanish on the pairs the checks draw.
+
 The one-dimensional case carries the classical Virasoro twist
 tau(t^a E, t^b E) = delta_{a+b,0} a^3 [kappa_1]; a coboundary shift by
 c * (mode-0 coefficient) moves the polynomial to a^3 + 2ca without
@@ -163,18 +170,37 @@ class ExtensionElement:
 
 
 def extension_bracket(a: ExtensionElement, b: ExtensionElement) -> ExtensionElement:
-    """The bracket of the module docstring.  Its central terms are summed as
-    forms and reduced once: the reduction is linear and idempotent."""
+    """The bracket of the module docstring.
+
+    A term is computed only when both of its factors are nonzero.  That
+    relies on the pairing, the actions and tau being bilinear, which the
+    `Cochain` contract already requires of tau.  The central terms are
+    summed as forms and reduced once: the reduction is linear and
+    idempotent.
+    """
     setup = a.setup
     ctx = setup.ctx
-    gauge = (ctx.bracket(a.gauge, b.gauge) + ctx.outer(a.field, b.gauge)
-             - ctx.outer(b.field, a.gauge))
-    central = (setup._pairing_form(a.gauge, b.gauge)
-               + lie_derive(a.field, b.central.rep)
-               - lie_derive(b.field, a.central.rep))
-    if setup.tau is not None:
-        central = central + setup.tau.evaluate(a.field, b.field).rep
-    field = a.field.bracket(b.field)
+    ga, gb = not a.gauge.is_zero(), not b.gauge.is_zero()
+    ca, cb = not a.central.is_zero(), not b.central.is_zero()
+    xa, xb = not a.field.is_zero(), not b.field.is_zero()
+    gauge = ctx.zero()
+    central = PForm.zero(ctx.n, ctx.model, 1)
+    field = VectorField.zero(ctx.n, ctx.model)
+    if ga and gb:
+        gauge = ctx.bracket(a.gauge, b.gauge)
+        central = setup._pairing_form(a.gauge, b.gauge)
+    if xa and gb:
+        gauge = gauge + ctx.outer(a.field, b.gauge)
+    if xb and ga:
+        gauge = gauge - ctx.outer(b.field, a.gauge)
+    if xa and cb:
+        central = central + lie_derive(a.field, b.central.rep)
+    if xb and ca:
+        central = central - lie_derive(b.field, a.central.rep)
+    if xa and xb:
+        if setup.tau is not None:
+            central = central + setup.tau.evaluate(a.field, b.field).rep
+        field = a.field.bracket(b.field)
     return ExtensionElement(setup, gauge, reduce_mod_exact(central), field)
 
 

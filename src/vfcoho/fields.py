@@ -112,8 +112,8 @@ class MatrixFunction:
     multiplies entries with `*`, which is the wedge product for forms.
     `scale` takes function entries only; `trace` sums function entries,
     or form entries from the zero `degree`-form when `degree` is given;
-    `trace_product` is Tr(self @ other) for function entries, without the
-    off-diagonal entries of the product.
+    `trace_product` is Tr(self @ other), with the same `degree`, without
+    the off-diagonal entries of the product.
     Products of Jacobians of monomial fields stay single-row, so sparse
     storage is what keeps the trace cocycles cheap.
 
@@ -212,18 +212,22 @@ class MatrixFunction:
     def commutator(self, other: "MatrixFunction") -> "MatrixFunction":
         return (self @ other) - (other @ self)
 
-    def trace(self, degree: int | None = None) -> RingElement | PForm:
-        acc = (RingElement.zero(self.n, self.model) if degree is None
-               else PForm.zero(self.n, self.model, degree))
-        for (i, j), f in self.entries.items():
-            if i == j:
-                acc = acc + f
-        return acc
+    def _zero_value(self, degree: int | None) -> RingElement | PForm:
+        """The zero function, or with `degree` the zero form of that degree."""
+        return (RingElement.zero(self.n, self.model) if degree is None
+                else PForm.zero(self.n, self.model, degree))
 
-    def trace_product(self, other: "MatrixFunction") -> RingElement:
+    def trace(self, degree: int | None = None) -> RingElement | PForm:
+        return sum((f for (i, j), f in self.entries.items() if i == j),
+                   self._zero_value(degree))
+
+    def trace_product(self, other: "MatrixFunction",
+                      degree: int | None = None) -> RingElement | PForm:
+        """Tr(self @ other) = sum of self_ik other_ki, without the product's
+        off-diagonal entries; `degree` as in `trace`."""
         self._compatible(other)
         return sum((f * other.entries[(k, i)] for (i, k), f in self.entries.items()
-                    if (k, i) in other.entries), RingElement.zero(self.n, self.model))
+                    if (k, i) in other.entries), self._zero_value(degree))
 
     def entrywise(self, fn: Callable) -> "MatrixFunction":
         """The matrix of fn(entry), zero results dropped; fn must map valid

@@ -176,11 +176,13 @@ class PForm(Terms):
         for (mode, subset), c in self.terms.items():
             for fmode, fc in f.terms.items():
                 key = (tuple(map(add, mode, fmode)), subset)
-                s = out.get(key, 0) + c * fc
-                if s:
+                s = out.get(key)
+                if s is None:
+                    out[key] = c * fc
+                elif s := s + c * fc:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    del out[key]
         return PForm._trusted(self.n, self.model, self.degree, out)
 
     def wedge(self, other: "PForm") -> "PForm":
@@ -196,11 +198,13 @@ class PForm(Terms):
                     continue
                 sign, subset = merged
                 key = (tuple(map(add, m1, m2)), subset)
-                s = out.get(key, 0) + sign * c1 * c2
-                if s:
+                s = out.get(key)
+                if s is None:
+                    out[key] = sign * c1 * c2
+                elif s := s + sign * c1 * c2:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    del out[key]
         return PForm._trusted(self.n, self.model, deg, out)
 
     __mul__ = wedge
@@ -225,11 +229,13 @@ def ext_d(w: PForm) -> PForm:
             sign, merged = _insert_sign(j, subset)
             target = mode if torus else mode[: j - 1] + (e - 1,) + mode[j:]
             key = (target, merged)
-            s = out.get(key, 0) + sign * e * c
-            if s:
+            s = out.get(key)
+            if s is None:
+                out[key] = sign * e * c
+            elif s := s + sign * e * c:
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
     return PForm._trusted(w.n, w.model, w.degree + 1, out)
 
 
@@ -253,11 +259,13 @@ def contract(field, w: PForm) -> PForm:
             rest = subset[:pos] + subset[pos + 1:]
             for fmode, fc in f.terms.items():
                 key = (tuple(map(add, mode, fmode)), rest)
-                s = partial.get(key, 0) + sign * c * fc
-                if s:
+                s = partial.get(key)
+                if s is None:
+                    partial[key] = sign * c * fc
+                elif s := s + sign * c * fc:
                     partial[key] = s
                 else:
-                    partial.pop(key, None)
+                    del partial[key]
     return PForm._trusted(w.n, w.model, w.degree - 1, partial)
 
 

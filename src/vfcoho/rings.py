@@ -25,6 +25,11 @@ without checking again.  It keeps the normal form the public constructor
 gives, with no zero coefficient and every integral `Fraction` stored as an
 `int`, so equal elements always have equal `terms`.
 
+Sums and products here and in `forms` accumulate terms by one rule: a
+term whose key is new is stored as it is, a term on a repeated key is
+added, and a key whose sum cancels is deleted.  A term is never added to
+a literal 0, which for a `Fraction` would cost a gcd only to copy it.
+
 >>> f = RingElement.monomial(2, TORUS, (1, 0)) + RingElement.monomial(2, TORUS, (0, -1))
 >>> print(f.text())
 t^(0,-1) + t^(1,0)
@@ -142,11 +147,13 @@ class Terms:
             )
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
+            s = out.get(key)
+            if s is None:
+                out[key] = c
+            elif s := s + c:
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
         return self._like(out)
 
     def __neg__(self):
@@ -242,11 +249,13 @@ class RingElement(Terms):
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     mode = tuple(map(add, m1, m2))
-                    s = out.get(mode, 0) + c1 * c2
-                    if s:
+                    s = out.get(mode)
+                    if s is None:
+                        out[mode] = c1 * c2
+                    elif s := s + c1 * c2:
                         out[mode] = s
                     else:
-                        out.pop(mode, None)
+                        del out[mode]
             return RingElement._trusted(self.n, self.model, out)
         return self.scale(other)
 
@@ -266,18 +275,12 @@ class RingElement(Terms):
         """
         if not 1 <= j <= self.n:
             raise MismatchError(f"derivation index {j} out of range 1..{self.n}")
-        out: dict[Mode, int | Fraction] = {}
-        for mode, c in self.terms.items():
-            e = mode[j - 1]
-            if e == 0:
-                continue
-            if self.model == TORUS:
-                target = mode
-            else:
-                target = mode[: j - 1] + (e - 1,) + mode[j:]
-            s = out.get(target, 0) + e * c
-            if s:
-                out[target] = s
-            else:
-                out.pop(target, None)
+        # Both models send distinct modes to distinct modes, so no key
+        # repeats and no term is added to another.
+        i = j - 1
+        if self.model == TORUS:
+            out = {mode: mode[i] * c for mode, c in self.terms.items() if mode[i]}
+        else:
+            out = {mode[:i] + (mode[i] - 1,) + mode[j:]: mode[i] * c
+                   for mode, c in self.terms.items() if mode[i]}
         return RingElement._trusted(self.n, self.model, out)

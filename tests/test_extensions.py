@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from vfcoho import (TORUS, Cochain, ExtensionElement, ExtensionSetup,
+from vfcoho import (AFFINE, TORUS, Cochain, ExtensionElement, ExtensionSetup,
                     FiniteLieAlgebra, GaugeContext, MismatchError, VectorField,
                     killing_form, reduce_mod_exact, virasoro_twist)
+from vfcoho.cocycles import reduced_trace_cocycle, wedge_pair_cocycle
 from vfcoho.cohomology import gl_defining_rep, sl2_defining_rep
-from vfcoho.extensions import (antisymmetry_check, extension_bracket,
-                               jacobi_check, jacobi_residual,
+from vfcoho.extensions import (_random_extension_element, antisymmetry_check,
+                               extension_bracket, jacobi_check, jacobi_residual,
                                planted_noncocycle_twist, trace_form)
-from vfcoho.forms import PForm
+from vfcoho.forms import PForm, lie_derive
 
 
 def sl2_setup(n=1, tau=None):
@@ -127,8 +128,6 @@ def test_extension_setup_rejects_a_degree_one_twist():
 def test_extension_bracket_antisymmetry_randomised():
     setup = sl2_setup(n=1, tau=virasoro_twist())
     rng = random.Random(29)
-    from vfcoho.extensions import _random_extension_element
-
     for _ in range(20):
         a = _random_extension_element(setup, rng, 1)
         b = _random_extension_element(setup, rng, 1)
@@ -139,8 +138,65 @@ def test_extension_bracket_antisymmetry_randomised():
 def test_jacobi_residual_vanishes_on_mixed_triples():
     setup = sl2_setup(n=1, tau=virasoro_twist())
     rng = random.Random(31)
-    from vfcoho.extensions import _random_extension_element
-
     for _ in range(15):
         triple = [_random_extension_element(setup, rng, 1) for _ in range(3)]
         assert jacobi_residual(*triple).is_zero()
+
+
+def plain_bracket(a, b, tau):
+    """The seven terms of the module docstring, every one computed, each
+    central term reduced on its own."""
+    setup = a.setup
+    ctx = setup.ctx
+    gauge = (ctx.bracket(a.gauge, b.gauge) + ctx.outer(a.field, b.gauge)
+             - ctx.outer(b.field, a.gauge))
+    central = (setup.pairing(a.gauge, b.gauge)
+               + reduce_mod_exact(lie_derive(a.field, b.central.rep))
+               - reduce_mod_exact(lie_derive(b.field, a.central.rep)))
+    if tau is not None:
+        central = central + tau.evaluate(a.field, b.field)
+    return ExtensionElement(setup, gauge, central, a.field.bracket(b.field))
+
+
+TWISTS = {
+    "untwisted": lambda n, model: None,
+    "reduced-trace-2": lambda n, model: reduced_trace_cocycle(2, n, model),
+    "wedge-pair": wedge_pair_cocycle,
+    "planted": planted_noncocycle_twist,
+}
+
+
+@pytest.mark.parametrize("model", [TORUS, AFFINE])
+@pytest.mark.parametrize("label", sorted(TWISTS))
+def test_bracket_skipping_zero_parts_is_the_plain_bracket(model, label):
+    """`extension_bracket` computes only the terms with two nonzero factors;
+    on elements with parts zeroed at random it must equal the plain
+    seven-term bracket, and evaluate the twist only on two nonzero fields."""
+    n = 2
+    tau = TWISTS[label](n, model)
+    pairs = []
+    counted = None
+    if tau is not None:
+        def ev(x, y):
+            pairs.append((x.is_zero(), y.is_zero()))
+            return tau.evaluate(x, y)
+
+        counted = Cochain(tau.name, 2, ev, "fields", "class", n, model,
+                          value_degree=1)
+    ctx = GaugeContext(FiniteLieAlgebra.sl2(), sl2_defining_rep(), n, model)
+    setup = ExtensionSetup(ctx, killing_form(ctx.lie), counted)
+    rng = random.Random(37)
+
+    def element():
+        full = _random_extension_element(setup, rng, 1)
+        return ExtensionElement.make(
+            setup, **{part: getattr(full, part) for part in ("gauge", "central", "field")
+                      if rng.random() < 0.6})
+
+    for _ in range(40):
+        a, b = element(), element()
+        got, want = extension_bracket(a, b), plain_bracket(a, b, tau)
+        assert (got.gauge, got.central, got.field) == (want.gauge, want.central,
+                                                      want.field)
+    if tau is not None:
+        assert pairs and not any(zero_x or zero_y for zero_x, zero_y in pairs)

@@ -45,9 +45,11 @@ def fields(model):
     return st.lists(rings(model), min_size=N, max_size=N).map(VectorField)
 
 
-def matrices(model):
+def matrices(model, degree=None):
+    """Matrices of functions, or with `degree` of `degree`-forms."""
     index = st.integers(0, N - 1)
-    return st.dictionaries(st.tuples(index, index), rings(model), max_size=4).map(
+    entries = rings(model) if degree is None else forms(model, degree)
+    return st.dictionaries(st.tuples(index, index), entries, max_size=4).map(
         lambda entries: MatrixFunction(N, model, entries))
 
 
@@ -113,11 +115,23 @@ def test_matrix_results_are_in_normal_form(data):
 @settings(max_examples=60)
 @given(st.data())
 def test_trace_product_is_the_trace_of_the_product(data):
+    """For function entries, and for form entries with the value's degree,
+    zero matrices included: the value then is the zero of that degree."""
     model = data.draw(models)
+    zero = MatrixFunction(N, model, {})
     a, b = data.draw(matrices(model)), data.draw(matrices(model))
-    result = a.trace_product(b)
-    assert result == (a @ b).trace()
-    assert_normal(result)
+    for x, y in ((a, b), (zero, b), (a, zero)):
+        result = x.trace_product(y)
+        assert result == (x @ y).trace()
+        assert_normal(result)
+    p = data.draw(st.integers(0, N))
+    q = data.draw(st.integers(0, N - p))
+    a, b = data.draw(matrices(model, p)), data.draw(matrices(model, q))
+    for x, y in ((a, b), (zero, b), (a, zero)):
+        result = x.trace_product(y, p + q)
+        assert result == (x @ y).trace(p + q)
+        assert isinstance(result, PForm) and result.degree == p + q
+        assert_normal(result)
 
 
 @pytest.mark.parametrize("entry", [0.5, 1.0, Fraction(1, 2), True],
