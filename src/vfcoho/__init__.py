@@ -16,9 +16,8 @@ from .cocycles import (contraction_cocycle, divergence_cochain,
                        reduced_trace_cocycle, scalar_trace_cocycle,
                        wedge_pair_cocycle)
 from .cohomology import (Cochain, FiniteLieAlgebra, GaugeContext,
-                         GaugeElement, betti_numbers, cochain_differential,
-                         cochain_wedge, is_cocycle, is_equivariant,
-                         pullback_by_crossed_hom)
+                         GaugeElement, betti_numbers, cochain_wedge,
+                         is_cocycle, is_equivariant, pullback_by_crossed_hom)
 from .extensions import (ExtensionElement, ExtensionSetup, InvariantForm,
                          extension_bracket, jacobi_check, killing_form,
                          virasoro_twist)
@@ -49,7 +48,6 @@ __all__ = [
     "TORUS",
     "VectorField",
     "betti_numbers",
-    "cochain_differential",
     "cochain_wedge",
     "contraction_cocycle",
     "divergence",

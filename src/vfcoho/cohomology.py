@@ -359,18 +359,6 @@ def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
     return total
 
 
-def cochain_differential(cochain: Cochain, name: str | None = None) -> Cochain:
-    action = module_action(cochain)
-    bracket_fn = domain_bracket(cochain)
-
-    def ev(*args):
-        return ce_apply(cochain, args, action, bracket_fn)
-
-    return Cochain(name or f"d({cochain.name})", cochain.degree + 1, ev,
-                   cochain.domain, cochain.values, cochain.n, cochain.model,
-                   cochain.value_degree, cochain.ctx)
-
-
 def _domain_elements(cochain: Cochain, radius: int):
     if cochain.domain == "fields":
         return basis_fields(cochain.model, cochain.n, radius)
@@ -540,7 +528,7 @@ def matrix_to_gauge(ctx: GaugeContext, m: MatrixFunction) -> GaugeElement:
     if m.n != size:
         raise MismatchError("matrix size does not match the representation")
     coeffs = [RingElement.zero(ctx.n, ctx.model) for _ in range(ctx.lie.dim)]
-    for (i, j), f in m.entries.items():
+    for (i, j), f in m.terms.items():
         coeffs[i * size + j] = f
     return GaugeElement(ctx, tuple(coeffs))
 

@@ -19,17 +19,18 @@ evaluate `crossed_hom_residual` on sampled pairs), and its kernel is
 exactly the constant fields.  Flipping the sign breaks the identity as
 soon as two Jacobians fail to commute: matrices sit in different rows.
 
-`MatrixFunction` is the one sparse matrix type: its entries are functions
-(`RingElement`) or forms (`PForm`), and the trace cocycles take the
-products of both kinds through the same `@`.
+`MatrixFunction` is the one sparse matrix type: a `rings.Terms` whose
+values are functions (`RingElement`) or forms (`PForm`), and the trace
+cocycles take the products of both kinds through the same `@`.
 """
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 from .forms import PForm, field_action
-from .rings import MODELS, MismatchError, RingElement, as_scalar
+from .rings import MODELS, MismatchError, RingElement, Terms, _collect, as_scalar
 
 MatrixEntries = dict[tuple[int, int], RingElement | PForm]
 
@@ -104,12 +105,15 @@ class VectorField:
         return " + ".join(parts) if parts else "0"
 
 
-class MatrixFunction:
-    """Square n x n matrix of functions or of forms, stored sparsely by
-    (row, col), 0-based.
+class MatrixFunction(Terms):
+    """Square n x n matrix of functions or of forms, a `rings.Terms` keyed
+    by (row, col), 0-based, whose values are the nonzero entries.
 
     Entries are all `RingElement`s or all `PForm`s over one ring; a product
-    multiplies entries with `*`, which is the wedge product for forms.
+    multiplies entries with `*`, which is the wedge product for forms,
+    skips the zero products (kappa_1 ^ kappa_1) and sums the rest by
+    `rings._collect`.  The matrix has no degree of its own (`degree` is
+    None): its entries carry it.
     `scale` takes function entries only; `trace` sums function entries,
     or form entries from the zero `degree`-form when `degree` is given;
     `trace_product` is Tr(self @ other), with the same `degree`, without
@@ -121,7 +125,9 @@ class MatrixFunction:
     valid matrices go through `_trusted` and are not checked again.
     """
 
-    __slots__ = ("n", "model", "entries")
+    __slots__ = ()
+    degree = None
+    _negate = methodcaller("scale", -1)  # `-` scales the entries it subtracts
 
     def __init__(self, n: int, model: str, entries: MatrixEntries | None = None):
         if model not in MODELS:
@@ -136,78 +142,32 @@ class MatrixFunction:
                 clean[(i, j)] = f
         self.n = n
         self.model = model
-        self.entries = clean
+        self.terms = clean
 
     @classmethod
-    def _trusted(cls, n: int, model: str, entries: MatrixEntries) -> "MatrixFunction":
+    def _trusted(cls, n: int, model: str, terms: MatrixEntries) -> "MatrixFunction":
         """Wrap in-range, nonzero entries over this ring, built by arithmetic
         on valid matrices."""
         self = object.__new__(cls)
         self.n = n
         self.model = model
-        self.entries = entries
+        self.terms = terms
         return self
 
+    def _like(self, terms: MatrixEntries) -> "MatrixFunction":
+        return MatrixFunction._trusted(self.n, self.model, terms)
+
     def entry(self, i: int, j: int) -> RingElement:
-        return self.entries.get((i, j), RingElement.zero(self.n, self.model))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixFunction):
-            return NotImplemented
-        return ((self.n, self.model, self.entries)
-                == (other.n, other.model, other.entries))
-
-    __hash__ = None
-
-    def _compatible(self, other: "MatrixFunction") -> None:
-        if (self.n, self.model) != (other.n, other.model):
-            raise MismatchError("mixed models or dimensions")
-
-    def __add__(self, other: "MatrixFunction") -> "MatrixFunction":
-        self._compatible(other)
-        out = dict(self.entries)
-        for key, f in other.entries.items():
-            s = out.get(key)
-            total = f if s is None else s + f
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return MatrixFunction._trusted(self.n, self.model, out)
-
-    def __neg__(self) -> "MatrixFunction":
-        return MatrixFunction._trusted(self.n, self.model,
-                                       {k: -f for k, f in self.entries.items()})
-
-    def __sub__(self, other: "MatrixFunction") -> "MatrixFunction":
-        return self + (-other)
-
-    def scale(self, c) -> "MatrixFunction":
-        c = as_scalar(c)
-        entries = {k: f * c for k, f in self.entries.items()} if c else {}
-        return MatrixFunction._trusted(self.n, self.model, entries)
+        return self.terms.get((i, j), RingElement.zero(self.n, self.model))
 
     def __matmul__(self, other: "MatrixFunction") -> "MatrixFunction":
         self._compatible(other)
         rows: dict[int, list[tuple[int, RingElement]]] = {}
-        for (k, j), g in other.entries.items():
+        for (k, j), g in other.terms.items():
             rows.setdefault(k, []).append((j, g))
-        out: MatrixEntries = {}
-        for (i, k), f in self.entries.items():
-            for j, g in rows.get(k, ()):
-                prod = f * g
-                if prod.is_zero():
-                    continue
-                s = out.get((i, j))
-                total = prod if s is None else s + prod
-                if total.is_zero():
-                    out.pop((i, j), None)
-                else:
-                    out[(i, j)] = total
-        return MatrixFunction._trusted(self.n, self.model, out)
+        return self._like(_collect(
+            (((i, j), prod) for (i, k), f in self.terms.items()
+             for j, g in rows.get(k, ()) if (prod := f * g)), {}))
 
     def commutator(self, other: "MatrixFunction") -> "MatrixFunction":
         return (self @ other) - (other @ self)
@@ -218,7 +178,7 @@ class MatrixFunction:
                 else PForm.zero(self.n, self.model, degree))
 
     def trace(self, degree: int | None = None) -> RingElement | PForm:
-        return sum((f for (i, j), f in self.entries.items() if i == j),
+        return sum((f for (i, j), f in self.terms.items() if i == j),
                    self._zero_value(degree))
 
     def trace_product(self, other: "MatrixFunction",
@@ -226,14 +186,14 @@ class MatrixFunction:
         """Tr(self @ other) = sum of self_ik other_ki, without the product's
         off-diagonal entries; `degree` as in `trace`."""
         self._compatible(other)
-        return sum((f * other.entries[(k, i)] for (i, k), f in self.entries.items()
-                    if (k, i) in other.entries), self._zero_value(degree))
+        return sum((f * other.terms[(k, i)] for (i, k), f in self.terms.items()
+                    if (k, i) in other.terms), self._zero_value(degree))
 
     def entrywise(self, fn: Callable) -> "MatrixFunction":
         """The matrix of fn(entry), zero results dropped; fn must map valid
         entries to valid entries (e.g. `PForm.from_ring`, `ext_d`)."""
         entries = {}
-        for key, f in self.entries.items():
+        for key, f in self.terms.items():
             value = fn(f)
             if not value.is_zero():
                 entries[key] = value

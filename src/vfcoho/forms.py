@@ -30,13 +30,14 @@ Both models split into finite components that d preserves (`_component`),
 and every matrix of d on a graded piece comes from `_d_matrix`, which reads
 it off the `ext_d` images of basis monomials as `linalg` dict rows.
 
-`FormClass` wraps a reduced representative; equality of classes is
-equality of representatives.
-
 `PForm` is a `rings.Terms`, keyed by (mode, coframe subset), so it shares
 its sums, negation, scaling, equality and text with `RingElement`; it adds
 the degree, `from_ring`/`as_ring`, `mul_ring` and the wedge product.  Forms
 of different degrees do not add, not even when one of them is zero.
+
+`FormClass` is a `rings.Terms` over the terms of its reduced
+representative `.rep`, so equality of classes is equality of
+representatives; a class and a form are never equal and do not add.
 
 As in `rings`, the public constructors (`PForm(...)`, `monomial`, `kappa`)
 validate every scalar, mode and coframe subset, and results built by
@@ -58,7 +59,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import cohomology_dims, echelon, reduce, sparse_matrix
 from .rings import (AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement,
-                    Terms, _check_mode, _demote, as_scalar, model_modes)
+                    Terms, _check_mode, _collect, _demote, as_scalar, model_modes)
 
 Subset = tuple[int, ...]
 Key = tuple[Mode, Subset]
@@ -271,12 +272,12 @@ def contract(field, w: PForm) -> PForm:
 
 def field_action(x, f: RingElement) -> RingElement:
     """Derivation action X.f = sum_i f_i E_i(f) of X = sum_i f_i E_i."""
-    acc = RingElement.zero(x.n, x.model)
+    out: dict[Mode, int | Fraction] = {}
     if f:
         for i, coeff in enumerate(x.coeffs, start=1):
-            if coeff:
-                acc = acc + coeff * f.derive(i)
-    return acc
+            if coeff and (d := f.derive(i)):
+                _collect((coeff * d).terms.items(), out)
+    return RingElement._trusted(x.n, x.model, out)
 
 
 def lie_derive(field, w: PForm) -> PForm:
@@ -374,59 +375,41 @@ def reduce_mod_exact(w: PForm) -> "FormClass":
     return FormClass(reduced)
 
 
-class FormClass:
-    """A class in the quotient of p-forms by exact forms, stored reduced.
+class FormClass(Terms):
+    """A class in the quotient of p-forms by exact forms, stored as the
+    terms of its reduced representative.
 
     The constructor trusts its input to be reduced; use `reduce_mod_exact`
     to build classes from arbitrary forms.  Linear operations preserve
-    reducedness (the reduction is linear and idempotent), so arithmetic
-    works directly on representatives.
+    reducedness (the reduction is linear and idempotent), so the sums,
+    negation and scaling of `Terms` work directly on the terms.
     """
 
-    __slots__ = ("rep",)
+    __slots__ = ("degree",)
 
     def __init__(self, rep: PForm):
-        self.rep = rep
+        self.n = rep.n
+        self.model = rep.model
+        self.degree = rep.degree
+        self.terms = rep.terms
+
+    _trusted = PForm.__dict__["_trusted"]
+    _monomial_text = PForm.__dict__["_monomial_text"]
+
+    def _like(self, terms: dict[Key, int | Fraction]) -> "FormClass":
+        return FormClass._trusted(self.n, self.model, self.degree, terms)
 
     @classmethod
     def zero(cls, n: int, model: str, degree: int) -> "FormClass":
         return cls(PForm.zero(n, model, degree))
 
     @property
-    def degree(self) -> int:
-        return self.rep.degree
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.rep)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormClass):
-            return NotImplemented
-        return self.rep == other.rep
-
-    __hash__ = None
-
-    def __add__(self, other: "FormClass") -> "FormClass":
-        if not isinstance(other, FormClass):
-            return NotImplemented
-        return FormClass(self.rep + other.rep)
-
-    def __sub__(self, other: "FormClass") -> "FormClass":
-        if not isinstance(other, FormClass):
-            return NotImplemented
-        return FormClass(self.rep - other.rep)
-
-    def __neg__(self) -> "FormClass":
-        return FormClass(-self.rep)
-
-    def scale(self, c) -> "FormClass":
-        return FormClass(self.rep.scale(c))
+    def rep(self) -> PForm:
+        """The reduced representative, over the same terms."""
+        return PForm._trusted(self.n, self.model, self.degree, self.terms)
 
     def text(self) -> str:
-        return f"[{self.rep.text()}]"
+        return f"[{super().text()}]"
 
 
 def is_exact(w: PForm) -> bool:

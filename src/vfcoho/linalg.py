@@ -1,6 +1,8 @@
 """Sparse exact elimination over Q.
 
-A row is a dict {column: nonzero int/Fraction}; a matrix is a list of rows.
+A row is a dict {column: nonzero int/Fraction}, the shape of the terms of
+a `rings.Terms`, and rows accumulate by the same rule, `rings._collect`; a
+matrix is a list of rows.
 `echelon(rows)` returns a basis of the row span as (pivot, row) pairs in
 increasing pivot order, each row starting at its pivot with entry 1.
 `reduce(vector, basis)` subtracts the rows in that order, each times the
@@ -23,6 +25,8 @@ from bisect import insort
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
+from .rings import _collect
+
 Row = dict
 Matrix = list
 
@@ -30,8 +34,8 @@ Matrix = list
 def sparse_matrix(sources: Sequence[Hashable], targets: Sequence[Hashable],
                   entries: Iterable[tuple[Hashable, Hashable, object]]) -> list[Row]:
     """One row per source with columns indexed by the targets, filled from
-    (source, target, coeff) triples; repeated pairs add up, and no zero
-    is stored.
+    (source, target, nonzero coeff) triples; repeated pairs add up, and a
+    pair that cancels is not stored.
 
     A source or target outside the given bases raises KeyError.
     """
@@ -39,18 +43,8 @@ def sparse_matrix(sources: Sequence[Hashable], targets: Sequence[Hashable],
     col_of = {t: j for j, t in enumerate(targets)}
     rows = [{} for _ in row_of]
     for source, target, coeff in entries:
-        _add(rows[row_of[source]], {col_of[target]: coeff}, 1)
+        _collect(((col_of[target], coeff),), rows[row_of[source]])
     return rows
-
-
-def _add(row: Row, other: Row, c) -> None:
-    """row += c * other in place, dropping the columns that cancel."""
-    for col, x in other.items():
-        total = row.get(col, 0) + c * x
-        if total:
-            row[col] = total
-        else:
-            row.pop(col, None)
 
 
 def reduce(vector: Row, basis: list[tuple[int, Row]]) -> Row:
@@ -59,7 +53,7 @@ def reduce(vector: Row, basis: list[tuple[int, Row]]) -> Row:
     for pivot, row in basis:
         c = rest.get(pivot)
         if c:
-            _add(rest, row, -c)
+            _collect(((col, -c * x) for col, x in row.items()), rest)
     return rest
 
 

@@ -322,7 +322,7 @@ def suite_relations(cfg: RunConfig) -> list[CheckReport]:
         u = neg_jacobian(x)
         for i in range(n):
             res = lie_derive(x, kappas[i])
-            for (a, b), f in u.entries.items():
+            for (a, b), f in u.terms.items():
                 if a == i:
                     res = res + kappas[b].mul_ring(f)
             if not res.is_zero():

@@ -3,7 +3,8 @@ form the public constructors give: no zero coefficient, no zero matrix
 entry, and every integral Fraction stored as an int.  Each result below is
 rebuilt through its public constructor and must come back identical,
 coefficient types included.  The public constructors themselves must keep
-rejecting bad input."""
+rejecting bad input.  Functions, forms, classes and matrices all take their
+sums from `rings.Terms`, which the last tests pin."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfcoho import (AFFINE, TORUS, MatrixFunction, MismatchError, PForm, RingElement,
-                    VectorField, ext_d, neg_jacobian, reduce_mod_exact)
+from vfcoho import (AFFINE, TORUS, FormClass, MatrixFunction, MismatchError, PForm,
+                    RingElement, VectorField, ext_d, neg_jacobian, reduce_mod_exact)
 from vfcoho.forms import contract
-from vfcoho.rings import MODELS
+from vfcoho.rings import MODELS, Terms
 
 N = 3
 # Halves and thirds multiply and add up to whole numbers often, which is
@@ -62,10 +63,14 @@ def assert_normal(result):
         again = RingElement(result.n, result.model, result.terms)
     elif isinstance(result, PForm):
         again = PForm(result.n, result.model, result.degree, result.terms)
+    elif isinstance(result, FormClass):
+        rep = result.rep
+        assert type(rep) is PForm and rep.degree == result.degree
+        again = FormClass(PForm(result.n, result.model, result.degree, result.terms))
     else:
-        again = MatrixFunction(result.n, result.model, result.entries)
+        again = MatrixFunction(result.n, result.model, result.terms)
         assert again == result
-        for f in result.entries.values():
+        for f in result.terms.values():
             assert_normal(f)
         return
     assert again == result
@@ -110,6 +115,26 @@ def test_matrix_results_are_in_normal_form(data):
     c, x = data.draw(scalars), data.draw(fields(model))
     for result in (a + b, a - b, a - a, a @ b, a.scale(c), neg_jacobian(x)):
         assert_normal(result)
+    p = data.draw(st.integers(1, N))
+    q = data.draw(st.integers(0, N - p))
+    a, b = data.draw(matrices(model, p)), data.draw(matrices(model, p))
+    one = data.draw(matrices(model, q))
+    for result in (a + b, a - b, a - a, a @ one, a @ a):
+        assert_normal(result)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_class_results_are_in_normal_form(data):
+    model = data.draw(models)
+    p = data.draw(st.integers(0, N))
+    a, b = data.draw(forms(model, p)), data.draw(forms(model, p))
+    x, y = reduce_mod_exact(a), reduce_mod_exact(b)
+    c = data.draw(scalars)
+    for result in (x, x + y, x - y, x - x, -x, x.scale(c)):
+        assert type(result) is FormClass and result.degree == p
+        assert_normal(result)
+    assert x + y == reduce_mod_exact(a + b)
 
 
 @settings(max_examples=60)
@@ -156,3 +181,47 @@ def test_matrix_constructor_rejects_bad_entries():
         MatrixFunction(2, TORUS, {(0, 0): RingElement.one(2, AFFINE)})
     with pytest.raises(MismatchError):
         MatrixFunction(2, TORUS, {(0, 0): RingElement.one(3, TORUS)})
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_classes_and_forms_stay_apart(data):
+    model = data.draw(models)
+    p = data.draw(st.integers(0, N))
+    rep = reduce_mod_exact(data.draw(forms(model, p))).rep
+    cls = FormClass(rep)
+    assert cls.terms == rep.terms
+    assert cls != rep and rep != cls
+    for left, right in ((cls, rep), (rep, cls)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_difference_adds_the_scaled_terms_without_negating(data):
+    """`a - b` adds the negated terms of b to a: it builds no `-b`, and a
+    matrix negates its entries by scaling."""
+    model = data.draw(models)
+    p = data.draw(st.integers(0, N))
+    pairs = [(data.draw(rings(model)), data.draw(rings(model))),
+             (data.draw(forms(model, p)), data.draw(forms(model, p))),
+             tuple(reduce_mod_exact(data.draw(forms(model, p))) for _ in range(2)),
+             (data.draw(matrices(model)), data.draw(matrices(model)))]
+
+    def refuse(self):
+        raise AssertionError("unary minus called")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Terms, "__neg__", refuse)
+        for a, b in pairs:
+            assert a - b == a + b.scale(-1)
+
+
+@pytest.mark.parametrize("cls", [FormClass, MatrixFunction])
+def test_classes_and_matrices_take_their_sums_from_terms(cls):
+    assert issubclass(cls, Terms)
+    own = {"__add__", "__sub__", "__neg__", "__eq__", "scale", "is_zero"} & set(vars(cls))
+    assert not own
