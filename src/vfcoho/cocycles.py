@@ -72,13 +72,15 @@ def perm_sign(perm: Sequence[int]) -> int:
 
 
 def _field_key(x: VectorField) -> tuple:
-    """Content key of a field: its ring, then the terms of each coefficient.
+    """Content key of a field: its ring, then the set of its frame indices,
+    each with the terms of its coefficient, so neither dict order counts.
 
     The ring is part of the key because equal terms over another ring make
     another field: a torus field and an affine field with the same terms
     have different Jacobians, and must not share a memo entry.
     """
-    return (x.n, x.model) + tuple(frozenset(f.terms.items()) for f in x.coeffs)
+    return (x.n, x.model,
+            frozenset((j, frozenset(f.terms.items())) for j, f in x.terms.items()))
 
 
 class _TraceMemo:
@@ -299,9 +301,7 @@ def _ordered_trace_sum(mats: Sequence, signed: bool):
 def _slot(u, differential: bool) -> list[tuple[int, PForm]]:
     """The nonzero pairs (a, f_a), or (a, d f_a), of u = sum_a f_a x_a."""
     pairs = []
-    for a, f in enumerate(u.coeffs):
-        if f.is_zero():
-            continue
+    for a, f in u.terms.items():
         w = ext_d(PForm.from_ring(f)) if differential else PForm.from_ring(f)
         if not w.is_zero():
             pairs.append((a, w))

@@ -13,8 +13,10 @@ derivative; gauge and finite domains treat values as trivial modules.
 
 `FiniteLieAlgebra` keeps one sparse table of its structure constants;
 its bracket, the pointwise `GaugeContext.bracket` and the matrices of
-`ce_matrix` all read it.  `GaugeElement(...)` validates its coefficients
-against the context, and the context's own results are trusted.
+`ce_matrix` all read it.  `GaugeElement` is a `rings.Terms` keyed by the
+basis index of g; `GaugeElement(...)` validates its coefficients against
+the context, and its results, the context's constructions, brackets and
+field actions included, are trusted.
 
 `betti_numbers` computes full cohomology of a finite-dimensional algebra
 with trivial coefficients by exact rank counting, and `cochain_wedge`
@@ -29,7 +31,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from operator import add, methodcaller, sub
+from operator import methodcaller
 from typing import Callable, Sequence
 
 from .fields import MatrixFunction, VectorField
@@ -37,7 +39,7 @@ from .forms import (FormClass, PForm, _insert_sign, ext_d, field_action,
                     lie_derive, reduce_mod_exact)
 from .linalg import cohomology_dims, mat_mul, sparse_matrix
 from .reports import CheckReport
-from .rings import MismatchError, RingElement, as_scalar
+from .rings import MismatchError, RingElement, Terms, _collect, as_scalar
 from .sampling import (basis_fields, check_rng, model_modes, random_field,
                        random_ring, random_scalar, run_check, seeded_cases,
                        seeded_check)
@@ -170,8 +172,8 @@ def validate_rep(lie: FiniteLieAlgebra, rep: Sequence) -> None:
 class GaugeContext:
     """The gauge algebra F tensor g with a faithful matrix representation.
 
-    Elements are coefficient tuples over the basis of g; the bracket is
-    pointwise: [f x_a, g x_b] = (fg) [x_a, x_b].
+    Elements are `GaugeElement`s, functions keyed by the basis of g; the
+    bracket is pointwise: [f x_a, g x_b] = (fg) [x_a, x_b].
     """
 
     def __init__(self, lie: FiniteLieAlgebra, rep: Sequence, n: int, model: str):
@@ -183,46 +185,47 @@ class GaugeContext:
         self.model = model
 
     def zero(self) -> "GaugeElement":
-        return GaugeElement._trusted(self, tuple(RingElement.zero(self.n, self.model)
-                                                 for _ in range(self.lie.dim)))
+        return GaugeElement._trusted(self, {})
 
     def basis_element(self, mode, a: int) -> "GaugeElement":
-        coeffs = [RingElement.zero(self.n, self.model) for _ in range(self.lie.dim)]
-        coeffs[a] = RingElement.monomial(self.n, self.model, mode)
-        return GaugeElement._trusted(self, tuple(coeffs))
+        return GaugeElement._trusted(self, {a: RingElement.monomial(self.n, self.model, mode)})
 
     def basis_elements(self, modes: Sequence) -> list["GaugeElement"]:
         return [self.basis_element(m, a) for m in modes for a in range(self.lie.dim)]
 
     def bracket(self, u: "GaugeElement", v: "GaugeElement") -> "GaugeElement":
-        out = [RingElement.zero(self.n, self.model) for _ in range(self.lie.dim)]
-        for (a, b), row in self.lie.sparse.items():
-            ua, vb = u.coeffs[a], v.coeffs[b]
-            if ua.is_zero() or vb.is_zero():
-                continue
-            prod = ua * vb
-            for k, coeff in row:
-                out[k] = out[k] + coeff * prod
-        return GaugeElement._trusted(self, tuple(out))
+        out: dict[int, RingElement] = {}
+        for a, ua in u.terms.items():
+            for b, vb in v.terms.items():
+                row = self.lie.sparse.get((a, b))
+                if row:
+                    prod = ua * vb  # nonzero: both rings are integral domains
+                    _collect(((k, prod.scale(coeff)) for k, coeff in row), out)
+        return GaugeElement._trusted(self, out)
 
     def outer(self, x: VectorField, u: "GaugeElement") -> "GaugeElement":
         """Action of a vector field through its derivation on coefficients."""
-        return GaugeElement._trusted(self, tuple(field_action(x, f) for f in u.coeffs))
+        return GaugeElement._trusted(self, {a: g for a, f in u.terms.items()
+                                            if (g := field_action(x, f))})
 
     def random_element(self, rng: random.Random, radius: int) -> "GaugeElement":
-        coeffs = [RingElement.zero(self.n, self.model) for _ in range(self.lie.dim)]
+        out: dict[int, RingElement] = {}
         for _ in range(2):
             a = rng.randrange(self.lie.dim)
-            coeffs[a] = coeffs[a] + random_ring(rng, self.model, self.n, radius, terms=1)
-        return GaugeElement._trusted(self, tuple(coeffs))
+            _collect([(a, random_ring(rng, self.model, self.n, radius, terms=1))], out)
+        return GaugeElement._trusted(self, out)
 
 
-class GaugeElement:
-    """u = sum_a f_a x_a in F tensor g.  The constructor checks that there
-    is one function over the context's ring per basis element of g; the
-    context's constructions and arithmetic go through `_trusted`."""
+class GaugeElement(Terms):
+    """u = sum_a f_a x_a in F tensor g, a `rings.Terms` keyed by the basis
+    index a of g (0-based) whose values are the nonzero functions f_a; it
+    has no degree, and n and model are the context's.  The constructor
+    takes one function over the context's ring per basis element of g and
+    checks them; the context's constructions and all arithmetic results go
+    through `_trusted`."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx",)
+    degree = None
 
     def __init__(self, ctx: GaugeContext, coeffs: Sequence[RingElement]):
         coeffs = tuple(coeffs)
@@ -234,42 +237,33 @@ class GaugeElement:
                 raise MismatchError("gauge coefficients must be functions over "
                                     "the context's ring")
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.n = ctx.n
+        self.model = ctx.model
+        self.terms = {a: f for a, f in enumerate(coeffs) if f}
 
     @classmethod
-    def _trusted(cls, ctx: GaugeContext, coeffs: tuple[RingElement, ...]) -> "GaugeElement":
-        """Wrap dim-many functions over the context's ring."""
+    def _trusted(cls, ctx: GaugeContext, terms: dict[int, RingElement]) -> "GaugeElement":
+        """Wrap nonzero functions over the context's ring, keyed by basis
+        indices of g."""
         self = object.__new__(cls)
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.n = ctx.n
+        self.model = ctx.model
+        self.terms = terms
         return self
 
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
+    def _like(self, terms: dict[int, RingElement]) -> "GaugeElement":
+        return GaugeElement._trusted(self.ctx, terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaugeElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "GaugeElement") -> "GaugeElement":
-        return GaugeElement._trusted(self.ctx, tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "GaugeElement") -> "GaugeElement":
-        return GaugeElement._trusted(self.ctx, tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "GaugeElement":
-        return GaugeElement._trusted(self.ctx, tuple(-a for a in self.coeffs))
-
-    def scale(self, c) -> "GaugeElement":
-        return GaugeElement._trusted(self.ctx, tuple(c * a for a in self.coeffs))
+    @property
+    def coeffs(self) -> tuple[RingElement, ...]:
+        """Every coefficient f_0, ..., f_(dim-1), zeros included."""
+        zero = RingElement.zero(self.n, self.model)
+        return tuple(self.terms.get(a, zero) for a in range(self.ctx.lie.dim))
 
     def text(self) -> str:
-        parts = [f"({f.text()}) {self.ctx.lie.names[a]}"
-                 for a, f in enumerate(self.coeffs) if not f.is_zero()]
-        return " + ".join(parts) if parts else "0"
+        names = self.ctx.lie.names
+        return " + ".join(f"({f.text()}) {names[a]}" for a, f in self.sorted_terms()) or "0"
 
 
 # -- cochains ---------------------------------------------------------------
@@ -320,14 +314,14 @@ def zero_value(values: str, n: int, model: str, degree: int | None):
     return 0
 
 
-def module_action(cochain: Cochain) -> Callable | None:
-    """How a domain element acts on the cochain's values, or None where it
-    acts trivially: on gauge and finite domains, and on scalar values."""
-    if cochain.domain != "fields" or cochain.values == "scalar":
+def module_action(domain: str, values: str) -> Callable | None:
+    """How an element of `domain` acts on `values`, or None where it acts
+    trivially: on gauge and finite domains, and on scalar values."""
+    if domain != "fields" or values == "scalar":
         return None
-    if cochain.values == "ring":
+    if values == "ring":
         return field_action
-    if cochain.values == "form":
+    if values == "form":
         return lie_derive
     return lambda x, c: reduce_mod_exact(lie_derive(x, c.rep))
 
@@ -344,7 +338,7 @@ def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
     p = cochain.degree
     if len(args) != p + 1:
         raise MismatchError(f"d of a {p}-cochain takes {p + 1} arguments")
-    action = action or module_action(cochain)
+    action = action or module_action(cochain.domain, cochain.values)
     bracket_fn = bracket_fn or domain_bracket(cochain)
     total = zero_value(cochain.values, cochain.n, cochain.model, cochain.value_degree)
     for i, x in enumerate(args if action else ()):  # no sum for a trivial module
@@ -384,7 +378,7 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
     `max_tuples`; beyond that, a seeded uniform sample of that size.
     Residuals are exact, so any failure produces a concrete witness.
     """
-    action = module_action(cochain)
+    action = module_action(cochain.domain, cochain.values)
     bracket_fn = domain_bracket(cochain)
     text = (cochain.ctx.vector_text if cochain.domain == "finite"
             else methodcaller("text"))
@@ -495,9 +489,7 @@ def is_equivariant(cochain: Cochain, radius: int = 1, samples: int = 50,
     check_name = name or f"equivariant:{cochain.name}"
     rng = check_rng(seed, check_name)
     ctx: GaugeContext = cochain.ctx
-    fields_cochain = Cochain("_", 0, lambda: None, "fields", cochain.values,
-                             cochain.n, cochain.model, cochain.value_degree)
-    act = module_action(fields_cochain) or (lambda x, v: 0)
+    act = module_action("fields", cochain.values) or (lambda x, v: 0)
     fields = basis_fields(cochain.model, cochain.n, radius)
     gauge = ctx.basis_elements(model_modes(cochain.model, cochain.n, radius))
     k = cochain.degree

@@ -38,7 +38,7 @@ from .cohomology import Cochain, FiniteLieAlgebra, GaugeContext, GaugeElement
 from .fields import VectorField
 from .forms import FormClass, PForm, ext_d, lie_derive, reduce_mod_exact
 from .reports import CheckReport
-from .rings import MismatchError, as_scalar
+from .rings import MismatchError, RingElement, as_scalar
 from .sampling import (model_modes, random_field, random_ring, random_scalar,
                        seeded_check)
 
@@ -117,13 +117,11 @@ class ExtensionSetup:
     def _pairing_form(self, g1: GaugeElement, g2: GaugeElement) -> PForm:
         """The unreduced 1-form sum of B(x_a, x_b) f' df behind `pairing`."""
         total = PForm.zero(self.ctx.n, self.ctx.model, 1)
-        for a, fa in enumerate(g1.coeffs):
-            if fa.is_zero():
-                continue
+        for a, fa in g1.terms.items():
             dfa = None
-            for b, fb in enumerate(g2.coeffs):
+            for b, fb in g2.terms.items():
                 coeff = self.form.matrix[a][b]
-                if not coeff or fb.is_zero():
+                if not coeff:
                     continue
                 if dfa is None:
                     dfa = ext_d(PForm.from_ring(fa))
@@ -286,9 +284,10 @@ def virasoro_twist(shift: int | Fraction = 0) -> Cochain:
     is the coboundary of c * (mode-0 coefficient)."""
     n, model = 1, "torus"
     shift = as_scalar(shift)
+    zero = RingElement.zero(n, model)
 
     def ev(x: VectorField, y: VectorField):
-        f, g = x.coeffs[0], y.coeffs[0]
+        f, g = x.terms.get(1, zero), y.terms.get(1, zero)
         total = 0
         for (a,), xa in f.terms.items():
             yb = g.terms.get((-a,))
@@ -308,9 +307,10 @@ def planted_noncocycle_twist(n: int, model: str) -> Cochain:
     even antisymmetric, and the Jacobi check fails with a witness."""
     if n < 2:
         raise MismatchError("the planted twist needs n >= 2")
+    zero = RingElement.zero(n, model)
 
     def ev(x: VectorField, y: VectorField):
-        product = x.coeffs[0] * y.coeffs[1]
+        product = x.terms.get(1, zero) * y.terms.get(2, zero)
         return reduce_mod_exact(PForm.from_ring(product).wedge(
             PForm.kappa(n, model, 1)))
 

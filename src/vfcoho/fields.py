@@ -7,7 +7,15 @@ commute in both models, so the bracket is
     [X, Y]_j = sum_i (f_i E_i(g_j) - g_i E_i(f_j)) = X.g_j - Y.f_j,
 
 with the derivation action X.f of `forms.field_action`, which this module
-re-exports.
+re-exports.  `VectorField` is a `rings.Terms` keyed by the frame index j,
+so a field stores only its nonzero coefficients and takes its sums,
+negation, scaling and equality from `Terms`; its bracket collects
+X.g_j - Y.f_j by `rings._collect`.
+
+>>> from vfcoho.rings import TORUS
+>>> VectorField.basis(2, TORUS, (1, 0), 2).bracket(
+...     VectorField.basis(2, TORUS, (0, 1), 1)).text()
+'(t^(1,1)) E_1 + (-1 * t^(1,1)) E_2'
 
 `neg_jacobian` sends X to the matrix u(X)_{ij} = -E_j(f_i), the negative
 Jacobian of the coefficient vector in the frame.  It satisfies
@@ -26,17 +34,25 @@ cocycles take the products of both kinds through the same `@`.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 from .forms import PForm, field_action
-from .rings import MODELS, MismatchError, RingElement, Terms, _collect, as_scalar
+from .rings import MODELS, MismatchError, RingElement, Terms, _collect
 
 MatrixEntries = dict[tuple[int, int], RingElement | PForm]
 
 
-class VectorField:
-    __slots__ = ("n", "model", "coeffs")
+class VectorField(Terms):
+    """X = sum_j f_j E_j, keyed by the frame index j (1-based), with no
+    degree (`degree` is None).  The constructor takes every coefficient in
+    frame order and checks that they share one ring of dimension n; sums,
+    scalings and brackets of valid fields go through `_trusted` and are not
+    checked again."""
+
+    __slots__ = ()
+    degree = None
 
     def __init__(self, coeffs: Sequence[RingElement]):
         coeffs = tuple(coeffs)
@@ -50,59 +66,33 @@ class VectorField:
                 raise MismatchError("mixed models or dimensions in coefficients")
         self.n = n
         self.model = model
-        self.coeffs = coeffs
+        self.terms = {j: f for j, f in enumerate(coeffs, start=1) if f}
+
+    @property
+    def coeffs(self) -> tuple[RingElement, ...]:
+        """Every coefficient f_1, ..., f_n, zeros included."""
+        zero = RingElement.zero(self.n, self.model)
+        return tuple(self.terms.get(j, zero) for j in range(1, self.n + 1))
 
     @classmethod
     def zero(cls, n: int, model: str) -> "VectorField":
-        return cls(tuple(RingElement.zero(n, model) for _ in range(n)))
+        return cls._trusted(n, model, {})
 
     @classmethod
     def basis(cls, n: int, model: str, mode: Iterable[int], j: int) -> "VectorField":
         """The field t^m E_j (or x^m d/dx_j in the affine model)."""
-        mode = tuple(mode)
         if not 1 <= j <= n:
             raise MismatchError(f"frame index {j} out of range 1..{n}")
-        coeffs = [RingElement.zero(n, model) for _ in range(n)]
-        coeffs[j - 1] = RingElement.monomial(n, model, mode)
-        return cls(coeffs)
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(tuple(-a for a in self.coeffs))
-
-    def scale(self, c) -> "VectorField":
-        c = as_scalar(c)
-        return VectorField(tuple(c * a for a in self.coeffs))
+        return cls._trusted(n, model, {j: RingElement.monomial(n, model, mode)})
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        if self.n != other.n or self.model != other.model:
-            raise MismatchError("mixed models or dimensions")
-        return VectorField(tuple(field_action(self, g) - field_action(other, f)
-                                 for f, g in zip(self.coeffs, other.coeffs)))
+        self._compatible(other)
+        return self._like(_collect(chain(
+            ((j, a) for j, g in other.terms.items() if (a := field_action(self, g))),
+            ((j, -b) for j, f in self.terms.items() if (b := field_action(other, f)))), {}))
 
     def text(self) -> str:
-        parts = [f"({f.text()}) E_{i}" for i, f in enumerate(self.coeffs, start=1)
-                 if not f.is_zero()]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"({f.text()}) E_{j}" for j, f in self.sorted_terms()) or "0"
 
 
 class MatrixFunction(Terms):
@@ -143,19 +133,6 @@ class MatrixFunction(Terms):
         self.n = n
         self.model = model
         self.terms = clean
-
-    @classmethod
-    def _trusted(cls, n: int, model: str, terms: MatrixEntries) -> "MatrixFunction":
-        """Wrap in-range, nonzero entries over this ring, built by arithmetic
-        on valid matrices."""
-        self = object.__new__(cls)
-        self.n = n
-        self.model = model
-        self.terms = terms
-        return self
-
-    def _like(self, terms: MatrixEntries) -> "MatrixFunction":
-        return MatrixFunction._trusted(self.n, self.model, terms)
 
     def entry(self, i: int, j: int) -> RingElement:
         return self.terms.get((i, j), RingElement.zero(self.n, self.model))
@@ -212,22 +189,17 @@ class MatrixFunction(Terms):
 def neg_jacobian(x: VectorField) -> MatrixFunction:
     """The crossed homomorphism X |-> -E_j(f_i), rows indexed by i."""
     entries: MatrixEntries = {}
-    for i, f in enumerate(x.coeffs):
-        if f.is_zero():
-            continue
+    for i, f in x.terms.items():
         for j in range(1, x.n + 1):
-            d = f.derive(j)
-            if not d.is_zero():
-                entries[(i, j - 1)] = -d
+            if d := f.derive(j):
+                entries[(i - 1, j - 1)] = -d
     return MatrixFunction._trusted(x.n, x.model, entries)
 
 
 def divergence(x: VectorField) -> RingElement:
     """div X = sum_j E_j(f_j); equals -trace(neg_jacobian(X))."""
-    acc = RingElement.zero(x.n, x.model)
-    for j, f in enumerate(x.coeffs, start=1):
-        acc = acc + f.derive(j)
-    return acc
+    return RingElement._trusted(x.n, x.model, _collect(
+        (term for j, f in x.terms.items() for term in f.derive(j).terms.items()), {}))
 
 
 def crossed_hom_residual(theta: Callable[[VectorField], MatrixFunction],

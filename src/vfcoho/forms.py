@@ -23,8 +23,9 @@ computed by `reduce_mod_exact`:
   representative does not depend on how the echelon basis was found.
 
 `field_action` (X.f for a field X = sum_i f_i E_i), `contract` and
-`lie_derive` take a field by its coefficients; `fields` builds the field
-bracket and the derivation of matrix entries on `field_action`.
+`lie_derive` take a field by its terms, the nonzero f_i keyed by i;
+`fields` builds the field bracket and the derivation of matrix entries on
+`field_action`.
 
 Both models split into finite components that d preserves (`_component`),
 and every matrix of d on a graded piece comes from `_d_matrix`, which reads
@@ -55,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .linalg import cohomology_dims, echelon, reduce, sparse_matrix
 from .rings import (AFFINE, MODELS, TORUS, MismatchError, Mode, RingElement,
@@ -211,10 +212,6 @@ class PForm(Terms):
     __mul__ = wedge
 
 
-def wedge(a: PForm, b: PForm) -> PForm:
-    return a.wedge(b)
-
-
 def ext_d(w: PForm) -> PForm:
     """Exterior differential.  The coframe is closed, so
     d(f kappa_I) = sum_j (E_j f) kappa_j ^ kappa_I."""
@@ -249,12 +246,12 @@ def contract(field, w: PForm) -> PForm:
         raise MismatchError("cannot contract a 0-form")
     if field.n != w.n or field.model != w.model:
         raise MismatchError("mixed models or dimensions")
-    coeffs: Sequence[RingElement] = field.coeffs
+    coeffs: dict[int, RingElement] = field.terms
     partial: dict[Key, int | Fraction] = {}
     for (mode, subset), c in w.terms.items():
         for pos, idx in enumerate(subset):
-            f = coeffs[idx - 1]
-            if f.is_zero():
+            f = coeffs.get(idx)
+            if f is None:
                 continue
             sign = (-1) ** pos
             rest = subset[:pos] + subset[pos + 1:]
@@ -274,8 +271,8 @@ def field_action(x, f: RingElement) -> RingElement:
     """Derivation action X.f = sum_i f_i E_i(f) of X = sum_i f_i E_i."""
     out: dict[Mode, int | Fraction] = {}
     if f:
-        for i, coeff in enumerate(x.coeffs, start=1):
-            if coeff and (d := f.derive(i)):
+        for i, coeff in x.terms.items():
+            if d := f.derive(i):
                 _collect((coeff * d).terms.items(), out)
     return RingElement._trusted(x.n, x.model, out)
 

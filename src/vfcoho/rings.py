@@ -11,11 +11,13 @@ Every sparse exact value is a `Terms`, a map from a key to a nonzero
 value, with one definition of sums, negation, scaling, equality and text:
 `RingElement` (keyed by mode) and `forms.PForm` (by mode and coframe
 subset) hold scalars, `forms.FormClass` the scalars of its reduced
-representative, and `fields.MatrixFunction` functions or forms (by row
-and column).  A function is a 0-form: `RingElement.degree` is 0.  `+` and
-`-` combine two elements of one class that agree on n, model and degree,
-and raise `MismatchError` on any other pair; values of two classes (a
-function and a 0-form, a class and a form) are never equal and do not add.
+representative, `fields.MatrixFunction` functions or forms (by row and
+column), and `fields.VectorField` (by frame index) and
+`cohomology.GaugeElement` (by basis index of g) functions.  A function is
+a 0-form: `RingElement.degree` is 0.  `+` and `-` combine two elements of
+one class that agree on n, model and degree, and raise `MismatchError` on
+any other pair; values of two classes (a function and a 0-form, a class
+and a form) are never equal and do not add.
 
 Scalars are `int` or `fractions.Fraction`.  Floats are rejected outright:
 every identity this package checks is decided exactly.
@@ -32,12 +34,13 @@ Sums accumulate by one rule, `_collect`: a term whose key is new is stored
 as it is, a term on a repeated key is added, and a key whose sum cancels
 is deleted, so no term is added to a literal 0 (for a `Fraction`, a gcd
 only to copy it).  `Terms` `+` and `-` (which negates only the terms of
-its right operand), `MatrixFunction` `@`, `forms.field_action` and the
-`linalg` rows use it.  The product kernels `RingElement.__mul__`,
-`PForm.mul_ring`, `PForm.wedge`, `forms.ext_d` and `forms.contract` keep
-the rule inline: feeding their loops to `_collect` through a generator
-cost 8 % per product of 4-term functions and 20 % of 1-term ones (`timeit`,
-both versions imported side by side and run alternately).
+its right operand), `MatrixFunction` `@`, the field and gauge brackets,
+`forms.field_action`, `fields.divergence` and the `linalg` rows use it.
+The product kernels `RingElement.__mul__`, `PForm.mul_ring`,
+`PForm.wedge`, `forms.ext_d` and `forms.contract` keep the rule inline:
+feeding their loops to `_collect` through a generator cost 8 % per
+product of 4-term functions and 20 % of 1-term ones (`timeit`, both
+versions imported side by side and run alternately).
 
 >>> f = RingElement.monomial(2, TORUS, (1, 0)) + RingElement.monomial(2, TORUS, (0, -1))
 >>> print(f.text())
@@ -128,10 +131,13 @@ def _collect(pairs: Iterable[tuple], out: dict) -> dict:
 class Terms:
     """A sparse exact sum: a map from a key to a nonzero value.
 
-    A subclass adds validation, `_trusted`, its constructors and products,
-    and two hooks: `_like(terms)` wraps terms of its own n, model and degree
-    through `_trusted`, and `_monomial_text(var, key)` formats one key.
-    `_negate` negates one value of the right operand of `-`.
+    A subclass adds validation, its constructors and products, and the
+    hook `_monomial_text(var, key)`, which formats one key.  `_trusted`
+    wraps terms that arithmetic built from valid elements without checking
+    them, and `_like(terms)` wraps terms of its own n, model and degree
+    through it; a subclass with scalar values (which `_trusted` demotes)
+    or more slots overrides them.  `_negate` negates one value of the
+    right operand of `-`.
 
     Immutable by convention: no method mutates `terms` after construction,
     and all arithmetic returns fresh objects.
@@ -156,6 +162,19 @@ class Terms:
                 and self.terms == other.terms)
 
     __hash__ = None  # mutable dict inside; elements are not dict keys
+
+    @classmethod
+    def _trusted(cls, n: int, model: str, terms: dict) -> "Terms":
+        """Wrap `terms` as they are: the caller guarantees valid keys and
+        nonzero values in normal form, and hands over the dict."""
+        self = object.__new__(cls)
+        self.n = n
+        self.model = model
+        self.terms = terms
+        return self
+
+    def _like(self, terms: dict) -> "Terms":
+        return self._trusted(self.n, self.model, terms)
 
     def _compatible(self, other: "Terms") -> None:
         if self.n != other.n or self.model != other.model:
@@ -237,9 +256,6 @@ class RingElement(Terms):
         self.model = model
         self.terms = _demote(terms)
         return self
-
-    def _like(self, terms: dict[Mode, int | Fraction]) -> "RingElement":
-        return RingElement._trusted(self.n, self.model, terms)
 
     @staticmethod
     def _monomial_text(var: str, mode: Mode) -> str:

@@ -111,7 +111,7 @@ def _kernel_check(model: str, cfg: RunConfig) -> CheckReport:
         return constants
     report = run_check(
         name, params, ((x,) for x in basis_fields(model, n, cfg.radius)
-                       if any(mode != zero for f in x.coeffs for mode in f.terms)),
+                       if any(mode != zero for f in x.terms.values() for mode in f.terms)),
         True, neg_jacobian, search="no nonconstant field with nonzero image")
     report.tuples += constants.tuples
     report.wall_ms += constants.wall_ms

@@ -19,7 +19,6 @@ from vfcoho.cocycles import (closed_pair_cocycle, divfree_basis,
                              h2_reduced_one_form_generators, perm_sign)
 from vfcoho.cohomology import ce_apply, gl_defining_rep, sl2_defining_rep
 from vfcoho.fields import MatrixFunction
-from vfcoho.forms import wedge
 from vfcoho.reports import RunConfig
 from vfcoho.sampling import random_field
 from vfcoho.suites import _divfree_witness
@@ -118,7 +117,7 @@ def _alternating_form_trace(heads, tails, degree):
         for idx in product(range(size), repeat=k):
             term = chain[0][idx[0]][idx[1 % k]]
             for s in range(1, k):
-                term = wedge(term, chain[s][idx[s]][idx[(s + 1) % k]])
+                term = term.wedge(chain[s][idx[s]][idx[(s + 1) % k]])
             term = term if perm_sign(perm) > 0 else -term
             total = term if total is None else total + term
     assert total.degree == degree
@@ -217,10 +216,12 @@ def _memo_of(cochain):
 
 
 def _rebuilt(x, model=None):
-    """x with each coefficient's terms inserted in reverse order, over model."""
-    return VectorField([RingElement(x.n, model or x.model,
-                                    dict(reversed(list(f.terms.items()))))
-                        for f in x.coeffs])
+    """x over model, with its own frame indices and each coefficient's terms
+    inserted in reverse order."""
+    model = model or x.model
+    return VectorField._trusted(x.n, model, {
+        j: RingElement(x.n, model, dict(reversed(list(f.terms.items()))))
+        for j, f in reversed(list(x.terms.items()))})
 
 
 @pytest.mark.parametrize("model", [TORUS, AFFINE])
@@ -228,8 +229,9 @@ def _rebuilt(x, model=None):
 def test_trace_memo_values_equal_the_plain_alternating_sums(family, model):
     """One cochain object per case, so its memo carries over between
     evaluations: overlapping sub-tuples of one pool, transposed arguments
-    and a field rebuilt with its terms in reverse order all agree with the
-    plain alternating sum, and the rebuilt field hits the memo."""
+    and a field rebuilt with its frame indices and its terms in reverse order
+    all agree with the plain alternating sum, and the rebuilt field hits the
+    memo, which keys on content, not on dict order."""
     n = 3
     rng = random.Random(47)
     pool = [random_field(rng, model, n, 2, terms=4) for _ in range(7)]
@@ -248,6 +250,7 @@ def test_trace_memo_values_equal_the_plain_alternating_sums(family, model):
         assert nonzero, (family, model, k)
         args = pool[:arity]
         rebuilt = _rebuilt(args[0])
+        assert list(args[0].terms) != list(rebuilt.terms)
         assert any(list(f.terms) != list(g.terms)
                    for f, g in zip(args[0].coeffs, rebuilt.coeffs))
         value = cochain.evaluate(*args)

@@ -14,4 +14,4 @@ def test_every_module_docstring_example_holds():
         failed += result.failed
         attempted += result.attempted
     assert failed == 0
-    assert attempted >= 5
+    assert attempted >= 6

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vfcoho import (AFFINE, TORUS, MismatchError, PForm, RingElement,
                     VectorField, ext_d, lie_derive, reduce_mod_exact)
 from vfcoho import forms, suites
-from vfcoho.forms import contract, de_rham_dims, is_exact, wedge
+from vfcoho.forms import contract, de_rham_dims, is_exact
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 torus_modes = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -53,8 +53,8 @@ def fields(n=2, model=TORUS):
 def test_wedge_anticommutes_on_coframe():
     k1 = PForm.kappa(2, TORUS, 1)
     k2 = PForm.kappa(2, TORUS, 2)
-    assert wedge(k1, k2) == -wedge(k2, k1)
-    assert wedge(k1, k1).is_zero()
+    assert k1.wedge(k2) == -k2.wedge(k1)
+    assert k1.wedge(k1).is_zero()
 
 
 def test_torus_d_of_monomial():
@@ -69,17 +69,17 @@ def test_affine_d_power_rule():
 
 
 def test_contraction_against_coframe():
-    w = wedge(PForm.kappa(3, TORUS, 1), PForm.kappa(3, TORUS, 2))
+    w = PForm.kappa(3, TORUS, 1).wedge(PForm.kappa(3, TORUS, 2))
     assert contract(VectorField.basis(3, TORUS, (0, 0, 0), 3), w).is_zero()
     x = VectorField.basis(2, TORUS, (1, -1), 2)
-    w2 = wedge(PForm.kappa(2, TORUS, 1), PForm.kappa(2, TORUS, 2))
+    w2 = PForm.kappa(2, TORUS, 1).wedge(PForm.kappa(2, TORUS, 2))
     assert contract(x, w2) == PForm.monomial(2, TORUS, (1, -1), (1,), -1)
 
 
 def test_degree_mismatch_raises():
     with pytest.raises(MismatchError):
-        PForm.kappa(2, TORUS, 1) + wedge(PForm.kappa(2, TORUS, 1),
-                                         PForm.kappa(2, TORUS, 2))
+        PForm.kappa(2, TORUS, 1) + PForm.kappa(2, TORUS, 1).wedge(
+            PForm.kappa(2, TORUS, 2))
 
 
 def test_a_zero_form_does_not_add_to_another_degree():
@@ -120,15 +120,15 @@ def test_d_squared_is_zero_affine(f, w):
 
 @given(forms_of_degree(1), forms_of_degree(1))
 def test_graded_leibniz(a, b):
-    lhs = ext_d(wedge(a, b))
-    rhs = wedge(ext_d(a), b) - wedge(a, ext_d(b))
+    lhs = ext_d(a.wedge(b))
+    rhs = ext_d(a).wedge(b) - a.wedge(ext_d(b))
     assert lhs == rhs
 
 
 @given(fields(), forms_of_degree(1), forms_of_degree(1))
 def test_contraction_is_an_antiderivation(x, a, b):
-    lhs = contract(x, wedge(a, b))
-    rhs = wedge(contract(x, a), b) - wedge(a, contract(x, b))
+    lhs = contract(x, a.wedge(b))
+    rhs = contract(x, a).wedge(b) - a.wedge(contract(x, b))
     assert lhs == rhs
 
 

@@ -3,8 +3,9 @@ form the public constructors give: no zero coefficient, no zero matrix
 entry, and every integral Fraction stored as an int.  Each result below is
 rebuilt through its public constructor and must come back identical,
 coefficient types included.  The public constructors themselves must keep
-rejecting bad input.  Functions, forms, classes and matrices all take their
-sums from `rings.Terms`, which the last tests pin."""
+rejecting bad input.  Functions, forms, classes, matrices, vector fields
+and gauge elements all take their sums from `rings.Terms`, which the last
+tests pin."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfcoho import (AFFINE, TORUS, FormClass, MatrixFunction, MismatchError, PForm,
-                    RingElement, VectorField, ext_d, neg_jacobian, reduce_mod_exact)
+from vfcoho import (AFFINE, TORUS, FiniteLieAlgebra, FormClass, GaugeContext,
+                    GaugeElement, MatrixFunction, MismatchError, PForm, RingElement,
+                    VectorField, ext_d, neg_jacobian, reduce_mod_exact)
+from vfcoho.cohomology import sl2_defining_rep
 from vfcoho.forms import contract
 from vfcoho.rings import MODELS, Terms
 
@@ -46,6 +49,15 @@ def fields(model):
     return st.lists(rings(model), min_size=N, max_size=N).map(VectorField)
 
 
+GAUGE = {model: GaugeContext(FiniteLieAlgebra.sl2(), sl2_defining_rep(), N, model)
+         for model in MODELS}
+
+
+def gauges(ctx):
+    return st.lists(rings(ctx.model), min_size=ctx.lie.dim, max_size=ctx.lie.dim).map(
+        lambda coeffs: GaugeElement(ctx, coeffs))
+
+
 def matrices(model, degree=None):
     """Matrices of functions, or with `degree` of `degree`-forms."""
     index = st.integers(0, N - 1)
@@ -68,9 +80,17 @@ def assert_normal(result):
         assert type(rep) is PForm and rep.degree == result.degree
         again = FormClass(PForm(result.n, result.model, result.degree, result.terms))
     else:
-        again = MatrixFunction(result.n, result.model, result.terms)
+        if isinstance(result, VectorField):
+            assert set(result.terms) <= set(range(1, result.n + 1))
+            again = VectorField(result.coeffs)
+        elif isinstance(result, GaugeElement):
+            assert set(result.terms) <= set(range(result.ctx.lie.dim))
+            again = GaugeElement(result.ctx, result.coeffs)
+        else:
+            again = MatrixFunction(result.n, result.model, result.terms)
         assert again == result
         for f in result.terms.values():
+            assert f
             assert_normal(f)
         return
     assert again == result
@@ -120,6 +140,29 @@ def test_matrix_results_are_in_normal_form(data):
     a, b = data.draw(matrices(model, p)), data.draw(matrices(model, p))
     one = data.draw(matrices(model, q))
     for result in (a + b, a - b, a - a, a @ one, a @ a):
+        assert_normal(result)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_field_and_gauge_results_are_in_normal_form_without_revalidating(data):
+    """Field and gauge results are built with their public constructors
+    patched to raise: arithmetic on valid operands never validates again."""
+    model = data.draw(models)
+    x, y = data.draw(fields(model)), data.draw(fields(model))
+    ctx = GAUGE[model]
+    u, v = data.draw(gauges(ctx)), data.draw(gauges(ctx))
+    c = data.draw(scalars)
+
+    def refuse(self, *args):
+        raise AssertionError("a result went through the public constructor")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VectorField, "__init__", refuse)
+        patch.setattr(GaugeElement, "__init__", refuse)
+        results = [x + y, x - y, x - x, -x, x.scale(c), x.bracket(y),
+                   u + v, u - v, u.scale(c), ctx.bracket(u, v), ctx.outer(x, u)]
+    for result in results:
         assert_normal(result)
 
 
@@ -220,7 +263,7 @@ def test_difference_adds_the_scaled_terms_without_negating(data):
             assert a - b == a + b.scale(-1)
 
 
-@pytest.mark.parametrize("cls", [FormClass, MatrixFunction])
+@pytest.mark.parametrize("cls", [FormClass, MatrixFunction, VectorField, GaugeElement])
 def test_classes_and_matrices_take_their_sums_from_terms(cls):
     assert issubclass(cls, Terms)
     own = {"__add__", "__sub__", "__neg__", "__eq__", "scale", "is_zero"} & set(vars(cls))
