@@ -50,7 +50,8 @@ over the torus and over affine space are different fields) and the terms
 of each coefficient.  A coboundary residual evaluates its cochain on
 overlapping sub-tuples of one tuple and on brackets of its members, and
 through the memo those evaluations build each shared matrix and partial
-sum once.
+sum once.  scalar_trace[1] and reduced_trace[1] skip the memo: the
+evaluations of one residual never share a field there.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .cohomology import Cochain, GaugeContext, cochain_wedge
 from .fields import MatrixFunction, VectorField, divergence, neg_jacobian
 from .forms import PForm, contract, ext_d, reduce_mod_exact
 from .linalg import mat_mul
-from .rings import TORUS, MismatchError, RingElement, model_modes
+from .rings import TORUS, MismatchError, RingElement, _collect, model_modes
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -119,6 +120,12 @@ class _TraceMemo:
         return keys, [self.get(key, build, x) for key, x in zip(keys, fields)]
 
 
+def _signed(value, pos: int):
+    """The terms of (-1)^pos value."""
+    terms = value.terms.items()
+    return terms if pos % 2 == 0 else ((key, -c) for key, c in terms)
+
+
 def _standard_polynomial(mats: Sequence[MatrixFunction], keys: Sequence,
                          memo: _TraceMemo,
                          first: Sequence[MatrixFunction] | None = None,
@@ -126,10 +133,12 @@ def _standard_polynomial(mats: Sequence[MatrixFunction], keys: Sequence,
     """S_r(A_1, ..., A_r) = sum over orderings of sgn * A_s(1) ... A_s(r).
 
     Expanded along the first factor, S(T) = sum_{pos, i in T} (-1)^pos
-    A_i S(T minus i), with pos the place of i in T.  S of every sub-tuple
-    of two or more factors is kept in `memo` under the tuple of its
-    factors' keys, so each is built once for all the evaluations that
-    share it; a zero one makes every product taken with it an empty loop.
+    A_i S(T minus i), with pos the place of i in T: one `@` per product,
+    its entries added with their signs into one term dict per entry.  S of
+    every sub-tuple of two or more factors is kept in `memo` under the
+    tuple of its factors' keys, so each is built once for all the
+    evaluations that share it; a zero one makes every product taken with
+    it an empty loop.
     With `first`, the leftmost factor of each ordering is F_s(1) instead of
     A_s(1), and the value is the trace, a `degree`-form, of that sum:
     sum_{pos, i} (-1)^pos Tr(F_i S(T minus i)) through `trace_product`.
@@ -137,30 +146,30 @@ def _standard_polynomial(mats: Sequence[MatrixFunction], keys: Sequence,
     Only associativity is used, so the entries may be forms.
     """
 
-    def expand(idx: tuple[int, ...], product: Callable):
-        total = None
-        for pos, i in enumerate(idx):
-            term = product(i, tail(idx[:pos] + idx[pos + 1:]))
-            if total is None:
-                total = term
-            else:
-                total = total + term if pos % 2 == 0 else total - term
-        return total
-
-    def times(i: int, rest: MatrixFunction) -> MatrixFunction:
-        return mats[i] @ rest
-
     def tail(idx: tuple[int, ...]) -> MatrixFunction:
         if len(idx) == 1:
             return mats[idx[0]]
-        return memo.get(tuple(keys[i] for i in idx), expand, idx, times)
+        return memo.get(tuple(keys[i] for i in idx), expand, idx)
+
+    def expand(idx: tuple[int, ...]) -> MatrixFunction:
+        sums: dict = {}
+        for pos, i in enumerate(idx):
+            for key, f in (mats[i] @ tail(idx[:pos] + idx[pos + 1:])).terms.items():
+                _collect(_signed(f, pos), sums.setdefault(key, {}))
+        # Every entry of S(idx) has the type and degree of the last one, f.
+        return MatrixFunction._trusted(mats[0].n, mats[0].model,
+                                       {key: f._like(t) for key, t in sums.items() if t})
 
     whole = tuple(range(len(mats)))
     if first is None:
         return tail(whole)
     if len(whole) == 1:
         return first[0].trace(degree)
-    return expand(whole, lambda i, rest: first[i].trace_product(rest, degree))
+    out: dict = {}
+    for pos, i in enumerate(whole):
+        value = first[i].trace_product(tail(whole[:pos] + whole[pos + 1:]), degree)
+        _collect(_signed(value, pos), out)
+    return value._like(out)
 
 
 def _thetas(x: VectorField) -> tuple[MatrixFunction, MatrixFunction]:
@@ -226,11 +235,11 @@ def scalar_trace_cocycle(k: int, n: int, model: str) -> Cochain:
     memo = _TraceMemo(arity)
 
     def ev(*fields):
+        if arity == 1:  # one Jacobian per evaluation: nothing to share
+            return neg_jacobian(fields[0]).trace()
         keys, mats = memo.per_field(fields, neg_jacobian)
         if any(m.is_zero() for m in mats):
             return RingElement.zero(n, model)
-        if arity == 1:
-            return mats[0].trace()
         return arity * mats[0].trace_product(_standard_polynomial(mats[1:], keys[1:], memo))
 
     return Cochain(f"scalar_trace[{k}]", arity, ev, "fields", "ring", n, model,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, lcm, prod
 from operator import methodcaller
 from typing import Callable, Sequence
 
@@ -219,7 +219,8 @@ class GaugeContext:
 class GaugeElement(Terms):
     """u = sum_a f_a x_a in F tensor g, a `rings.Terms` keyed by the basis
     index a of g (0-based) whose values are the nonzero functions f_a; it
-    has no degree, and n and model are the context's.  The constructor
+    has no degree, and n and model are the context's.  Elements of two
+    contexts are never equal and do not add.  The constructor
     takes one function over the context's ring per basis element of g and
     checks them; the context's constructions and all arithmetic results go
     through `_trusted`."""
@@ -334,10 +335,22 @@ def domain_bracket(cochain: Cochain) -> Callable:
 
 def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
              bracket_fn: Callable | None = None):
-    """Evaluate the Chevalley-Eilenberg differential of `cochain` on args."""
+    """Evaluate the Chevalley-Eilenberg differential of `cochain` on args.
+
+    d c is multilinear over Q, as the `Cochain` contract makes c.  So on
+    fields and gauge elements it is evaluated on D_i X_i, D_i the lcm of
+    the denominators in X_i, and the residual is scaled by 1 / prod D_i:
+    the scalar trace cocycles then compute with ints only.  Integral tuples
+    (every basis tuple), finite-domain arguments and scalar values are
+    taken as they are.
+    """
     p = cochain.degree
     if len(args) != p + 1:
         raise MismatchError(f"d of a {p}-cochain takes {p + 1} arguments")
+    scales = [1] if cochain.domain == "finite" or cochain.values == "scalar" else [  # D_i
+        lcm(*(c.denominator for f in x.terms.values() for c in f.terms.values())) for x in args]
+    if (whole := prod(scales)) > 1:
+        args = tuple(x if d == 1 else x.scale(d) for x, d in zip(args, scales))
     action = action or module_action(cochain.domain, cochain.values)
     bracket_fn = bracket_fn or domain_bracket(cochain)
     total = zero_value(cochain.values, cochain.n, cochain.model, cochain.value_degree)
@@ -350,7 +363,7 @@ def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
             rest = tuple(a for k, a in enumerate(args) if k != i and k != j)
             val = cochain.evaluate(bracket_fn(args[i], args[j]), *rest)
             total = total - val if (i + j) % 2 == 1 else total + val
-    return total
+    return total if whole == 1 else total.scale(Fraction(1, whole))
 
 
 def _domain_elements(cochain: Cochain, radius: int):
@@ -519,10 +532,9 @@ def matrix_to_gauge(ctx: GaugeContext, m: MatrixFunction) -> GaugeElement:
         raise MismatchError("matrix_to_gauge needs the full gl context")
     if m.n != size:
         raise MismatchError("matrix size does not match the representation")
-    coeffs = [RingElement.zero(ctx.n, ctx.model) for _ in range(ctx.lie.dim)]
-    for (i, j), f in m.terms.items():
-        coeffs[i * size + j] = f
-    return GaugeElement(ctx, tuple(coeffs))
+    if (m.n, m.model) != (ctx.n, ctx.model):
+        raise MismatchError("matrix ring does not match the context's ring")
+    return GaugeElement._trusted(ctx, {i * size + j: f for (i, j), f in m.terms.items()})
 
 
 def pullback_by_crossed_hom(cochain: Cochain,

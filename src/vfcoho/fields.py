@@ -29,7 +29,8 @@ soon as two Jacobians fail to commute: matrices sit in different rows.
 
 `MatrixFunction` is the one sparse matrix type: a `rings.Terms` whose
 values are functions (`RingElement`) or forms (`PForm`), and the trace
-cocycles take the products of both kinds through the same `@`.
+cocycles take the products of both kinds through the same `@`, which
+builds no object per entry product (see `MatrixFunction`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 from .forms import PForm, field_action
-from .rings import MODELS, MismatchError, RingElement, Terms, _collect
+from .rings import MODELS, TORUS, MismatchError, RingElement, Terms, _collect
 
 MatrixEntries = dict[tuple[int, int], RingElement | PForm]
 
@@ -99,11 +100,11 @@ class MatrixFunction(Terms):
     """Square n x n matrix of functions or of forms, a `rings.Terms` keyed
     by (row, col), 0-based, whose values are the nonzero entries.
 
-    Entries are all `RingElement`s or all `PForm`s over one ring; a product
-    multiplies entries with `*`, which is the wedge product for forms,
-    skips the zero products (kappa_1 ^ kappa_1) and sums the rest by
-    `rings._collect`.  The matrix has no degree of its own (`degree` is
-    None): its entries carry it.
+    Entries are all `RingElement`s or all `PForm`s of one degree over one
+    ring.  A product adds every entry product (`*`, the wedge for forms)
+    into one term dict per output entry through `_mul_into`, wraps each
+    dict once, and drops the zero ones (kappa_1 ^ kappa_1, or a sum that
+    cancels).  The matrix has no degree of its own: its entries carry it.
     `scale` takes function entries only; `trace` sums function entries,
     or form entries from the zero `degree`-form when `degree` is given;
     `trace_product` is Tr(self @ other), with the same `degree`, without
@@ -142,29 +143,39 @@ class MatrixFunction(Terms):
         rows: dict[int, list[tuple[int, RingElement]]] = {}
         for (k, j), g in other.terms.items():
             rows.setdefault(k, []).append((j, g))
-        return self._like(_collect(
-            (((i, j), prod) for (i, k), f in self.terms.items()
-             for j, g in rows.get(k, ()) if (prod := f * g)), {}))
+        sums: dict[tuple[int, int], dict] = {}
+        for (i, k), f in self.terms.items():
+            for j, g in rows.get(k, ()):
+                f._mul_into(g, sums.setdefault((i, j), {}))
+        if not sums:
+            return self._like({})
+        # Every entry product has the type and degree of the last one, f * g.
+        degree = f.degree + g.degree if isinstance(f, PForm) else None
+        return self._like({key: self._value(terms, degree)
+                           for key, terms in sums.items() if terms})
 
     def commutator(self, other: "MatrixFunction") -> "MatrixFunction":
         return (self @ other) - (other @ self)
 
-    def _zero_value(self, degree: int | None) -> RingElement | PForm:
-        """The zero function, or with `degree` the zero form of that degree."""
-        return (RingElement.zero(self.n, self.model) if degree is None
-                else PForm.zero(self.n, self.model, degree))
+    def _value(self, terms: dict, degree: int | None) -> RingElement | PForm:
+        """The function over `terms`, or with `degree` the form of that degree."""
+        return (RingElement._trusted(self.n, self.model, terms) if degree is None
+                else PForm._trusted(self.n, self.model, degree, terms))
 
     def trace(self, degree: int | None = None) -> RingElement | PForm:
-        return sum((f for (i, j), f in self.terms.items() if i == j),
-                   self._zero_value(degree))
+        return self._value(_collect((term for (i, j), f in self.terms.items() if i == j
+                                     for term in f.terms.items()), {}), degree)
 
     def trace_product(self, other: "MatrixFunction",
                       degree: int | None = None) -> RingElement | PForm:
         """Tr(self @ other) = sum of self_ik other_ki, without the product's
         off-diagonal entries; `degree` as in `trace`."""
         self._compatible(other)
-        return sum((f * other.terms[(k, i)] for (i, k), f in self.terms.items()
-                    if (k, i) in other.terms), self._zero_value(degree))
+        out: dict = {}
+        for (i, k), f in self.terms.items():
+            if (g := other.terms.get((k, i))) is not None:
+                f._mul_into(g, out)
+        return self._value(out, degree)
 
     def entrywise(self, fn: Callable) -> "MatrixFunction":
         """The matrix of fn(entry), zero results dropped; fn must map valid
@@ -187,13 +198,21 @@ class MatrixFunction(Terms):
 
 
 def neg_jacobian(x: VectorField) -> MatrixFunction:
-    """The crossed homomorphism X |-> -E_j(f_i), rows indexed by i."""
-    entries: MatrixEntries = {}
+    """The crossed homomorphism X |-> -E_j(f_i), rows indexed by i.
+
+    One pass over each term c t^m of f_i stores -m_j c under the key m
+    (torus) or m - e_j (affine) of entry (i, j) for every m_j != 0.
+    """
+    entries: dict[tuple[int, int], dict] = {}
+    torus = x.model == TORUS
     for i, f in x.terms.items():
-        for j in range(1, x.n + 1):
-            if d := f.derive(j):
-                entries[(i - 1, j - 1)] = -d
-    return MatrixFunction._trusted(x.n, x.model, entries)
+        for mode, c in f.terms.items():
+            for j, e in enumerate(mode):
+                if e:
+                    key = mode if torus else mode[:j] + (e - 1,) + mode[j + 1:]
+                    entries.setdefault((i - 1, j), {})[key] = -e * c
+    return MatrixFunction._trusted(x.n, x.model, {
+        key: RingElement._trusted(x.n, x.model, terms) for key, terms in entries.items()})
 
 
 def divergence(x: VectorField) -> RingElement:

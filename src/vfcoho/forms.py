@@ -119,20 +119,23 @@ class PForm(Terms):
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, n: int, model: str, degree: int,
-                 terms: dict[Key, int | Fraction]) -> "PForm":
-        """Wrap terms that arithmetic built from valid forms.
-
-        The caller guarantees valid keys of this degree and no zero
-        coefficient, and hands over `terms`; integral Fractions are
-        demoted here.
-        """
+    def _normal(cls, n: int, model: str, degree: int,
+                terms: dict[Key, int | Fraction]) -> "PForm":
+        """`_trusted` for terms with no integral Fraction: nothing to demote."""
         self = object.__new__(cls)
         self.n = n
         self.model = model
         self.degree = degree
-        self.terms = _demote(terms)
+        self.terms = terms
         return self
+
+    @classmethod
+    def _trusted(cls, n: int, model: str, degree: int,
+                 terms: dict[Key, int | Fraction]) -> "PForm":
+        """Wrap terms that arithmetic built from valid forms: the caller
+        guarantees valid keys of this degree and no zero coefficient, and
+        hands over `terms`; integral Fractions are demoted here."""
+        return cls._normal(n, model, degree, _demote(terms))
 
     def _like(self, terms: dict[Key, int | Fraction]) -> "PForm":
         return PForm._trusted(self.n, self.model, self.degree, terms)
@@ -161,13 +164,13 @@ class PForm(Terms):
 
     @classmethod
     def from_ring(cls, f: RingElement) -> "PForm":
-        return cls._trusted(f.n, f.model, 0, {(m, ()): c for m, c in f.terms.items()})
+        return cls._normal(f.n, f.model, 0, {(m, ()): c for m, c in f.terms.items()})
 
     def as_ring(self) -> RingElement:
         if self.degree != 0:
             raise MismatchError("only 0-forms convert to ring elements")
-        return RingElement._trusted(self.n, self.model,
-                                    {m: c for (m, _), c in self.terms.items()})
+        return RingElement._normal(self.n, self.model,
+                                   {m: c for (m, _), c in self.terms.items()})
 
     # -- products ----------------------------------------------------------
 
@@ -187,12 +190,8 @@ class PForm(Terms):
                     del out[key]
         return PForm._trusted(self.n, self.model, self.degree, out)
 
-    def wedge(self, other: "PForm") -> "PForm":
-        self._compatible(other)
-        deg = self.degree + other.degree
-        if deg > self.n:
-            return PForm._trusted(self.n, self.model, min(deg, self.n + 1), {})
-        out: dict[Key, int | Fraction] = {}
+    def _mul_into(self, other: "PForm", out: dict) -> dict:
+        """Add the terms of self ^ other into the caller's dict `out`, as `_collect` does."""
         for (m1, s1), c1 in self.terms.items():
             for (m2, s2), c2 in other.terms.items():
                 merged = _merge_sign(s1, s2)
@@ -207,7 +206,13 @@ class PForm(Terms):
                     out[key] = s
                 else:
                     del out[key]
-        return PForm._trusted(self.n, self.model, deg, out)
+        return out
+
+    def wedge(self, other: "PForm") -> "PForm":
+        self._compatible(other)
+        deg = self.degree + other.degree  # past n, every pair of subsets meets
+        return PForm._trusted(self.n, self.model, min(deg, self.n + 1),
+                              {} if deg > self.n else self._mul_into(other, {}))
 
     __mul__ = wedge
 
@@ -331,7 +336,7 @@ def _d_matrix(n: int, model: str, degree: int, component: Mode | int) -> list[di
     return sparse_matrix(
         sources, _component_basis(n, model, degree + 1, component),
         ((key, image, c) for key in sources
-         for image, c in ext_d(PForm._trusted(n, model, degree, {key: 1})).terms.items()))
+         for image, c in ext_d(PForm._normal(n, model, degree, {key: 1})).terms.items()))
 
 
 def _exact_image(model: str, n: int, degree: int, component: Mode | int):
@@ -390,6 +395,7 @@ class FormClass(Terms):
         self.degree = rep.degree
         self.terms = rep.terms
 
+    _normal = PForm.__dict__["_normal"]
     _trusted = PForm.__dict__["_trusted"]
     _monomial_text = PForm.__dict__["_monomial_text"]
 
@@ -403,7 +409,7 @@ class FormClass(Terms):
     @property
     def rep(self) -> PForm:
         """The reduced representative, over the same terms."""
-        return PForm._trusted(self.n, self.model, self.degree, self.terms)
+        return PForm._normal(self.n, self.model, self.degree, self.terms)
 
     def text(self) -> str:
         return f"[{super().text()}]"

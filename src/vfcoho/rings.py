@@ -15,9 +15,9 @@ representative, `fields.MatrixFunction` functions or forms (by row and
 column), and `fields.VectorField` (by frame index) and
 `cohomology.GaugeElement` (by basis index of g) functions.  A function is
 a 0-form: `RingElement.degree` is 0.  `+` and `-` combine two elements of
-one class that agree on n, model and degree, and raise `MismatchError` on
-any other pair; values of two classes (a function and a 0-form, a class
-and a form) are never equal and do not add.
+one class that agree on n, model, degree and (for gauge elements) context,
+and raise `MismatchError` on any other pair; values of two classes (a
+function and a 0-form, a class and a form) are never equal and do not add.
 
 Scalars are `int` or `fractions.Fraction`.  Floats are rejected outright:
 every identity this package checks is decided exactly.
@@ -30,17 +30,20 @@ without checking again.  It keeps the normal form the public constructor
 gives, with no zero coefficient and every integral `Fraction` stored as an
 `int`, so equal elements always have equal `terms`.
 
+Results that cannot hold an integral `Fraction` (zero, negation, a
+function read as a 0-form and back) skip that scan (`_normal`).
+
 Sums accumulate by one rule, `_collect`: a term whose key is new is stored
 as it is, a term on a repeated key is added, and a key whose sum cancels
 is deleted, so no term is added to a literal 0 (for a `Fraction`, a gcd
 only to copy it).  `Terms` `+` and `-` (which negates only the terms of
-its right operand), `MatrixFunction` `@`, the field and gauge brackets,
-`forms.field_action`, `fields.divergence` and the `linalg` rows use it.
-The product kernels `RingElement.__mul__`, `PForm.mul_ring`,
-`PForm.wedge`, `forms.ext_d` and `forms.contract` keep the rule inline:
-feeding their loops to `_collect` through a generator cost 8 % per
-product of 4-term functions and 20 % of 1-term ones (`timeit`, both
-versions imported side by side and run alternately).
+its right operand), the field and gauge brackets, `forms.field_action`,
+`fields.divergence` and the `linalg` rows use it.  The products add
+their terms by the same rule inline, into a dict the caller owns:
+`RingElement._mul_into` and `forms.PForm._mul_into` (the wedge) add the
+terms of one product, `*` and `wedge` call them once on a fresh dict, and
+`MatrixFunction` `@` and `trace_product` call them for every entry
+product into one dict per output entry, which is wrapped once.
 
 >>> f = RingElement.monomial(2, TORUS, (1, 0)) + RingElement.monomial(2, TORUS, (0, -1))
 >>> print(f.text())
@@ -144,6 +147,7 @@ class Terms:
     """
 
     __slots__ = ("n", "model", "terms")
+    ctx = None  # the context of a gauge element, whose slot overrides this
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -159,7 +163,7 @@ class Terms:
             return NotImplemented
         return (type(self) is type(other) and self.n == other.n
                 and self.model == other.model and self.degree == other.degree
-                and self.terms == other.terms)
+                and self.ctx is other.ctx and self.terms == other.terms)
 
     __hash__ = None  # mutable dict inside; elements are not dict keys
 
@@ -188,10 +192,11 @@ class Terms:
         """self + other, or self - other when `negate` is `_negate`."""
         if type(other) is not type(self):
             return NotImplemented
-        if self.n != other.n or self.model != other.model or self.degree != other.degree:
+        if (self.n != other.n or self.model != other.model or self.degree != other.degree
+                or self.ctx is not other.ctx):
             raise MismatchError(
                 f"cannot add ({self.n},{self.model}) degree {self.degree} "
-                f"to ({other.n},{other.model}) degree {other.degree}"
+                f"to ({other.n},{other.model}) degree {other.degree}, or across contexts"
             )
         terms = other.terms
         pairs = terms.items() if negate is None else zip(terms, map(negate, terms.values()))
@@ -204,7 +209,10 @@ class Terms:
         return self._sum(other, self._negate)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        # Negation keeps the normal form, so its terms skip `_demote`.
+        out = self._like({})
+        out.terms = {k: -c for k, c in self.terms.items()}
+        return out
 
     def scale(self, c):
         c = as_scalar(c)
@@ -257,6 +265,9 @@ class RingElement(Terms):
         self.terms = _demote(terms)
         return self
 
+    # Wraps terms already in normal form, with no integral Fraction to demote.
+    _normal = Terms.__dict__["_trusted"]
+
     @staticmethod
     def _monomial_text(var: str, mode: Mode) -> str:
         return f"{var}^({','.join(str(e) for e in mode)})"
@@ -265,7 +276,7 @@ class RingElement(Terms):
 
     @classmethod
     def zero(cls, n: int, model: str) -> "RingElement":
-        return cls._trusted(n, model, {})
+        return cls._normal(n, model, {})
 
     @classmethod
     def one(cls, n: int, model: str) -> "RingElement":
@@ -281,21 +292,24 @@ class RingElement(Terms):
 
     # -- products ----------------------------------------------------------
 
+    def _mul_into(self, other: "RingElement", out: dict) -> dict:
+        """Add the terms of self * other into the caller's dict `out`, as `_collect` does."""
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mode = tuple(map(add, m1, m2))
+                s = out.get(mode)
+                if s is None:
+                    out[mode] = c1 * c2
+                elif s := s + c1 * c2:
+                    out[mode] = s
+                else:
+                    del out[mode]
+        return out
+
     def __mul__(self, other) -> "RingElement":
         if isinstance(other, RingElement):
             self._compatible(other)
-            out: dict[Mode, int | Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mode = tuple(map(add, m1, m2))
-                    s = out.get(mode)
-                    if s is None:
-                        out[mode] = c1 * c2
-                    elif s := s + c1 * c2:
-                        out[mode] = s
-                    else:
-                        del out[mode]
-            return RingElement._trusted(self.n, self.model, out)
+            return RingElement._trusted(self.n, self.model, self._mul_into(other, {}))
         return self.scale(other)
 
     def __rmul__(self, other) -> "RingElement":

@@ -249,3 +249,42 @@ def test_matrix_to_gauge_embeds_the_jacobian():
     x = VectorField.basis(2, TORUS, (1, 1), 1)
     g = matrix_to_gauge(ctx, neg_jacobian(x))
     assert not g.is_zero()
+
+
+@pytest.mark.parametrize("model", [TORUS, AFFINE])
+def test_matrix_to_gauge_equals_the_public_construction(model):
+    """The trusted build from the matrix's terms equals the public
+    constructor over the dense coefficient list, on seeded Jacobians."""
+    import random
+
+    from vfcoho.sampling import random_field
+
+    ctx = GaugeContext(FiniteLieAlgebra.gl(2), gl_defining_rep(2), 2, model)
+    rng = random.Random(67)
+    nonzero = 0
+    for _ in range(20):
+        m = neg_jacobian(random_field(rng, model, 2, 2, terms=3))
+        coeffs = [m.entry(i, j) for i in range(2) for j in range(2)]
+        g = matrix_to_gauge(ctx, m)
+        assert g == GaugeElement(ctx, coeffs) and g.ctx is ctx
+        assert all(g.terms.values())
+        nonzero += not g.is_zero()
+    assert nonzero
+    other = GaugeContext(FiniteLieAlgebra.gl(2), gl_defining_rep(2), 2,
+                         AFFINE if model == TORUS else TORUS)
+    with pytest.raises(MismatchError):
+        matrix_to_gauge(other, m)
+
+
+def test_gauge_elements_of_two_contexts_neither_add_nor_compare_equal():
+    sl2 = GaugeContext(FiniteLieAlgebra.sl2(), sl2_defining_rep(), 2, TORUS)
+    gl2 = GaugeContext(FiniteLieAlgebra.gl(2), gl_defining_rep(2), 2, TORUS)
+    u, v = sl2.basis_element((1, 0), 2), gl2.basis_element((1, 0), 3)
+    for left, right in ((u, v), (v, u)):
+        with pytest.raises(MismatchError):
+            left + right
+        with pytest.raises(MismatchError):
+            left - right
+    a, b = sl2.basis_element((1, 0), 0), gl2.basis_element((1, 0), 0)
+    assert a.terms == b.terms and a != b and b != a
+    assert a == sl2.basis_element((1, 0), 0)

@@ -1,5 +1,7 @@
 """Vector fields, frame Jacobians, and the crossed homomorphism."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +62,17 @@ def test_bracket_acts_as_commutator_on_functions(x, y):
     lhs = field_action(x.bracket(y), f)
     rhs = field_action(x, field_action(y, f)) - field_action(y, field_action(x, f))
     assert lhs == rhs
+
+
+def test_neg_jacobian_stores_integral_coefficients_as_ints():
+    """-E_j(f_i) in one pass: 1/2 t^(2,0) E_1 has the single entry (0, 0) =
+    -1 * t^(2,0) on the torus, and 1/2 x^(2,0) d/dx_1 the entry -x^(1,0)."""
+    for model, key in ((TORUS, (2, 0)), (AFFINE, (1, 0))):
+        x = VectorField.basis(2, model, (2, 0), 1).scale(Fraction(1, 2))
+        m = neg_jacobian(x)
+        assert list(m.terms) == [(0, 0)]
+        assert m.entry(0, 0).terms == {key: -1}
+        assert type(m.entry(0, 0).terms[key]) is int
 
 
 def test_divergence_of_frame_multiples():

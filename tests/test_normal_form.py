@@ -8,7 +8,7 @@ and gauge elements all take their sums from `rings.Terms`, which the last
 tests pin."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -268,3 +268,67 @@ def test_classes_and_matrices_take_their_sums_from_terms(cls):
     assert issubclass(cls, Terms)
     own = {"__add__", "__sub__", "__neg__", "__eq__", "scale", "is_zero"} & set(vars(cls))
     assert not own
+
+
+def _reference_product(a, b, zero):
+    """The entries of a @ b, each summed from `zero` with public `*` and `+`."""
+    entries = {}
+    for i, j in product(range(N), repeat=2):
+        total = zero
+        for k in range(N):
+            if (i, k) in a.terms and (k, j) in b.terms:
+                total = total + a.terms[(i, k)] * b.terms[(k, j)]
+        if total:
+            entries[(i, j)] = total
+    return entries
+
+
+def _reference_trace(a, zero):
+    total = zero
+    for i in range(N):
+        if (i, i) in a.terms:
+            total = total + a.terms[(i, i)]
+    return total
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_matrix_kernels_equal_entrywise_sums_of_public_products(data):
+    """`@`, `trace` and `trace_product` add every entry product into one
+    term dict per entry; entrywise sums of public `*` and `+` must agree,
+    also where an entry's products cancel, for functions and for forms."""
+    model = data.draw(models)
+    p = data.draw(st.integers(0, N))
+    q = data.draw(st.integers(0, N - p))
+    cases = [(data.draw(matrices(model)), data.draw(matrices(model)), None),
+             (data.draw(matrices(model, p)), data.draw(matrices(model, q)), p + q)]
+    # Cancelling entries: (a @ b)_00 = fg - fg, Tr a = f - f, Tr(a b') = fg - fg.
+    f, g = (data.draw(rings(model).filter(bool)) for _ in range(2))
+    a = MatrixFunction(N, model, {(0, 0): f, (0, 1): f, (1, 1): -f})
+    b = MatrixFunction(N, model, {(0, 0): g, (1, 0): -g})
+    cases.append((a, b, None))
+    cancelled = a @ b
+    assert (0, 0) not in cancelled.terms and a.trace().is_zero()
+    assert MatrixFunction(N, model, {(0, 1): f, (1, 0): f}).trace_product(
+        MatrixFunction(N, model, {(1, 0): g, (0, 1): -g})).is_zero()
+    for x, y, degree in cases:
+        zero = (RingElement.zero(N, model) if degree is None
+                else PForm.zero(N, model, degree))
+        prod = x @ y
+        assert prod.terms == _reference_product(x, y, zero)
+        assert x.trace_product(y, degree) == _reference_trace(prod, zero)
+        assert prod.trace(degree) == _reference_trace(prod, zero)
+        for result in (prod, x.trace_product(y, degree), prod.trace(degree)):
+            assert_normal(result)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_neg_jacobian_is_minus_the_derivatives(data):
+    model = data.draw(models)
+    x = data.draw(fields(model))
+    reference = {(i - 1, j - 1): -d for i, f in x.terms.items()
+                 for j in range(1, N + 1) if (d := f.derive(j))}
+    result = neg_jacobian(x)
+    assert result.terms == reference
+    assert_normal(result)
