@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import methodcaller
 from typing import Callable, Sequence
 
@@ -339,16 +339,17 @@ def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
 
     d c is multilinear over Q, as the `Cochain` contract makes c.  So on
     fields and gauge elements it is evaluated on D_i X_i, D_i the lcm of
-    the denominators in X_i, and the residual is scaled by 1 / prod D_i:
-    the scalar trace cocycles then compute with ints only.  Integral tuples
+    the denominators in X_i (`Terms.denominator`), and the residual is
+    scaled by 1 / prod D_i: the scalar trace cocycles then compute with
+    ints only.  Integral tuples
     (every basis tuple), finite-domain arguments and scalar values are
     taken as they are.
     """
     p = cochain.degree
     if len(args) != p + 1:
         raise MismatchError(f"d of a {p}-cochain takes {p + 1} arguments")
-    scales = [1] if cochain.domain == "finite" or cochain.values == "scalar" else [  # D_i
-        lcm(*(c.denominator for f in x.terms.values() for c in f.terms.values())) for x in args]
+    scales = ([1] if cochain.domain == "finite" or cochain.values == "scalar"
+              else [x.denominator for x in args])  # D_i
     if (whole := prod(scales)) > 1:
         args = tuple(x if d == 1 else x.scale(d) for x, d in zip(args, scales))
     action = action or module_action(cochain.domain, cochain.values)

@@ -17,10 +17,24 @@ it fails with a concrete witness.
 
 The bracket is bilinear in each of the three parts: the gauge bracket
 and the pairing, the actions X.g and X.[c], tau and the field bracket are
-each bilinear, so a term with a zero factor is zero, and
-`extension_bracket` computes only the terms whose two factors are
-nonzero.  A twist must therefore be bilinear, as the `Cochain` contract
-requires, and not merely vanish on the pairs the checks draw.
+each bilinear, so a term with a zero factor is zero, and `_bracket`
+computes only the terms whose two factors are nonzero.  A twist must
+therefore be bilinear, as the `Cochain` contract requires, and not merely
+vanish on the pairs the checks draw.
+
+`_bracket` works on (gauge, central 1-form, field) parts and leaves the
+central form unreduced; `extension_bracket` reduces it once.  The Jacobi
+residual is trilinear, so `jacobi_residual` evaluates it on the integral
+multiples D_a a, D_b b, D_c c (D the lcm of the denominators of an
+element) and scales it back by 1/(D_a D_b D_c); every basis triple is
+integral and skips both scalings.  Its six nested brackets keep their
+central forms unreduced, and the sum of the three outer ones is reduced
+once.  That gives the class, and so the representative and the witness
+text, of the cyclic sum of `extension_bracket`: the reduction is linear
+and canonical (zero exactly on exact forms), and the one place an outer
+bracket reads an inner central form is the action L_X, which commutes
+with d and so sends exact forms to exact forms.  The pairing, the twist,
+and the gauge and field parts never read a central part.
 
 The one-dimensional case carries the classical Virasoro twist
 tau(t^a E, t^b E) = delta_{a+b,0} a^3 [kappa_1]; a coboundary shift by
@@ -32,6 +46,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .cohomology import Cochain, FiniteLieAlgebra, GaugeContext, GaugeElement
@@ -66,16 +81,6 @@ class InvariantForm:
                             f"form not invariant on basis triple ({a},{b},{c})")
         self.lie = lie
         self.matrix = m
-
-    def pair(self, x: Sequence, y: Sequence):
-        total = 0
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            for b, yb in enumerate(y):
-                if yb and self.matrix[a][b]:
-                    total += xa * yb * self.matrix[a][b]
-        return total
 
 
 def killing_form(lie: FiniteLieAlgebra) -> InvariantForm:
@@ -159,6 +164,16 @@ class ExtensionElement:
         return ExtensionElement(self.setup, self.gauge - other.gauge,
                                 self.central - other.central, self.field - other.field)
 
+    def scale(self, c) -> "ExtensionElement":
+        return ExtensionElement(self.setup, self.gauge.scale(c), self.central.scale(c),
+                                self.field.scale(c))
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of the denominators of every coefficient of the three parts."""
+        return lcm(self.gauge.denominator, self.central.denominator,
+                   self.field.denominator)
+
     def is_zero(self) -> bool:
         return self.gauge.is_zero() and self.central.is_zero() and self.field.is_zero()
 
@@ -167,46 +182,76 @@ class ExtensionElement:
                 f"field: {self.field.text()}")
 
 
-def extension_bracket(a: ExtensionElement, b: ExtensionElement) -> ExtensionElement:
-    """The bracket of the module docstring.
+# (gauge part, central 1-form, field part) of an extension element; the
+# central form need not be reduced.
+Parts = tuple[GaugeElement, PForm, VectorField]
+
+
+def _parts(e: ExtensionElement) -> Parts:
+    return e.gauge, e.central.rep, e.field
+
+
+def _bracket(setup: ExtensionSetup, a: Parts, b: Parts) -> Parts:
+    """The bracket of the module docstring on parts, with the central
+    form summed and left unreduced.
 
     A term is computed only when both of its factors are nonzero.  That
     relies on the pairing, the actions and tau being bilinear, which the
-    `Cochain` contract already requires of tau.  The central terms are
-    summed as forms and reduced once: the reduction is linear and
-    idempotent.
+    `Cochain` contract already requires of tau.
     """
-    setup = a.setup
     ctx = setup.ctx
-    ga, gb = not a.gauge.is_zero(), not b.gauge.is_zero()
-    ca, cb = not a.central.is_zero(), not b.central.is_zero()
-    xa, xb = not a.field.is_zero(), not b.field.is_zero()
+    (ga, ca, xa), (gb, cb, xb) = a, b
     gauge = ctx.zero()
     central = PForm.zero(ctx.n, ctx.model, 1)
     field = VectorField.zero(ctx.n, ctx.model)
     if ga and gb:
-        gauge = ctx.bracket(a.gauge, b.gauge)
-        central = setup._pairing_form(a.gauge, b.gauge)
+        gauge = ctx.bracket(ga, gb)
+        central = setup._pairing_form(ga, gb)
     if xa and gb:
-        gauge = gauge + ctx.outer(a.field, b.gauge)
+        gauge = gauge + ctx.outer(xa, gb)
     if xb and ga:
-        gauge = gauge - ctx.outer(b.field, a.gauge)
+        gauge = gauge - ctx.outer(xb, ga)
     if xa and cb:
-        central = central + lie_derive(a.field, b.central.rep)
+        central = central + lie_derive(xa, cb)
     if xb and ca:
-        central = central - lie_derive(b.field, a.central.rep)
+        central = central - lie_derive(xb, ca)
     if xa and xb:
         if setup.tau is not None:
-            central = central + setup.tau.evaluate(a.field, b.field).rep
-        field = a.field.bracket(b.field)
-    return ExtensionElement(setup, gauge, reduce_mod_exact(central), field)
+            central = central + setup.tau.evaluate(xa, xb).rep
+        field = xa.bracket(xb)
+    return gauge, central, field
+
+
+def extension_bracket(a: ExtensionElement, b: ExtensionElement) -> ExtensionElement:
+    """The bracket of the module docstring: `_bracket`, with the central
+    form reduced once (the reduction is linear and idempotent)."""
+    gauge, central, field = _bracket(a.setup, _parts(a), _parts(b))
+    return ExtensionElement(a.setup, gauge, reduce_mod_exact(central), field)
 
 
 def jacobi_residual(a: ExtensionElement, b: ExtensionElement,
                     c: ExtensionElement) -> ExtensionElement:
-    return (extension_bracket(extension_bracket(a, b), c)
-            + extension_bracket(extension_bracket(b, c), a)
-            + extension_bracket(extension_bracket(c, a), b))
+    """[[a,b],c] + [[b,c],a] + [[c,a],b], equal to that cyclic sum of
+    `extension_bracket` part for part.
+
+    The residual is trilinear, so it is computed on D_a a, D_b b, D_c c,
+    each D the lcm of the denominators of its element, and scaled by
+    1/(D_a D_b D_c); integral triples skip both scalings.  The nested
+    brackets leave their central forms unreduced, and the sum is reduced
+    once.  Unreduced inner central forms are sound because the outer
+    bracket reads them only through L_X, which commutes with d and so maps
+    exact forms to exact forms, and because the reduction is linear and
+    canonical (see the module docstring).
+    """
+    setup = a.setup
+    scales = [e.denominator for e in (a, b, c)]
+    p, q, r = (_parts(e if d == 1 else e.scale(d)) for e, d in zip((a, b, c), scales))
+    outer = [_bracket(setup, _bracket(setup, x, y), z)
+             for x, y, z in ((p, q, r), (q, r, p), (r, p, q))]
+    gauge, central, field = (u + v + w for u, v, w in zip(*outer))
+    residual = ExtensionElement(setup, gauge, reduce_mod_exact(central), field)
+    whole = prod(scales)
+    return residual if whole == 1 else residual.scale(Fraction(1, whole))
 
 
 def _basis_extension_elements(setup: ExtensionSetup, radius: int) -> list[ExtensionElement]:

@@ -303,7 +303,7 @@ def _reduce_torus(w: PForm) -> PForm:
         if pivot in subset:
             pos = subset.index(pivot)
             eta[(mode, subset[:pos] + subset[pos + 1:])] = \
-                (-1) ** pos * Fraction(c, mode[pivot - 1])
+                Fraction(-c if pos % 2 else c, mode[pivot - 1])
     if not eta:
         return w
     return w - ext_d(PForm._trusted(w.n, w.model, w.degree - 1, eta))

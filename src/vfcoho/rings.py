@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import add, neg
 from typing import Iterable, Mapping
 
@@ -213,6 +214,13 @@ class Terms:
         out = self._like({})
         out.terms = {k: -c for k, c in self.terms.items()}
         return out
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of the denominators of every scalar in the values, those
+        inside function and form values included, so that
+        `self.scale(self.denominator)` has integral scalars only."""
+        return lcm(*(v.denominator for v in self.terms.values()))
 
     def scale(self, c):
         c = as_scalar(c)

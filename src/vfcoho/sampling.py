@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .fields import VectorField
 from .reports import CheckReport
-from .rings import RingElement, model_modes
+from .rings import RingElement, _collect, model_modes
 
 
 def derive_seed(base: int, name: str) -> int:
@@ -65,22 +65,26 @@ def random_scalar(rng: random.Random) -> Fraction:
 
 def random_field(rng: random.Random, model: str, n: int, radius: int,
                  terms: int = 2) -> VectorField:
+    """A sum of `terms` basis fields t^m E_j, each scaled by a `random_scalar`,
+    drawn as (mode, j, scalar) in that order."""
     modes = model_modes(model, n, radius)
-    acc = VectorField.zero(n, model)
+    out: dict = {}
     for _ in range(terms):
         mode = rng.choice(modes)
         j = rng.randrange(1, n + 1)
-        acc = acc + VectorField.basis(n, model, mode, j).scale(random_scalar(rng))
-    return acc
+        _collect([(j, RingElement._trusted(n, model, {mode: random_scalar(rng)}))], out)
+    return VectorField._trusted(n, model, out)
 
 
 def random_ring(rng: random.Random, model: str, n: int, radius: int,
                 terms: int = 2) -> RingElement:
+    """A sum of `terms` monomials, each drawn as (mode, `random_scalar`)."""
     modes = model_modes(model, n, radius)
-    acc = RingElement.zero(n, model)
+    out: dict = {}
     for _ in range(terms):
-        acc = acc + RingElement.monomial(n, model, rng.choice(modes), random_scalar(rng))
-    return acc
+        mode = rng.choice(modes)
+        _collect([(mode, random_scalar(rng))], out)
+    return RingElement._trusted(n, model, out)
 
 
 def index_tuples(count: int, arity: int, budget: int,

@@ -200,3 +200,50 @@ def test_bracket_skipping_zero_parts_is_the_plain_bracket(model, label):
                                                       want.field)
     if tau is not None:
         assert pairs and not any(zero_x or zero_y for zero_x, zero_y in pairs)
+
+
+def _coefficient_types(element):
+    """The type of every scalar of the three parts, keyed by where it sits."""
+    return ({(a, m): type(c) for a, f in element.gauge.terms.items()
+             for m, c in f.terms.items()},
+            {key: type(c) for key, c in element.central.terms.items()},
+            {(j, m): type(c) for j, f in element.field.terms.items()
+             for m, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("model", [TORUS, AFFINE])
+@pytest.mark.parametrize("label", sorted(TWISTS))
+def test_jacobi_residual_is_the_cyclic_sum_of_plain_brackets(model, label):
+    """`jacobi_residual` clears denominators and reduces the central part
+    once; on rational triples, with parts of different denominators and
+    parts zeroed at random, it must equal the cyclic sum of plain nested
+    brackets part for part, coefficient types and text included."""
+    n = 2
+    tau = TWISTS[label](n, model)
+    ctx = GaugeContext(FiniteLieAlgebra.sl2(), sl2_defining_rep(), n, model)
+    setup = ExtensionSetup(ctx, killing_form(ctx.lie), tau)
+    rng = random.Random(41)
+
+    def element():
+        full = _random_extension_element(setup, rng, 1)
+        parts = {part: getattr(full, part).scale(Fraction(1, rng.choice([1, 2, 5])))
+                 for part in ("gauge", "central", "field") if rng.random() < 0.8}
+        return ExtensionElement.make(setup, **parts)
+
+    def br(x, y):
+        return plain_bracket(x, y, tau)
+
+    denominators, nonzero = set(), 0
+    for _ in range(12):
+        a, b, c = element(), element(), element()
+        denominators.update(part.denominator for part in (a.gauge, a.central, a.field))
+        got = jacobi_residual(a, b, c)
+        want = br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b)
+        assert (got.gauge, got.central, got.field) == (want.gauge, want.central,
+                                                      want.field)
+        assert _coefficient_types(got) == _coefficient_types(want)
+        assert got.text() == want.text()
+        nonzero += not got.is_zero()
+    assert len(denominators) > 2
+    if label == "planted":
+        assert nonzero

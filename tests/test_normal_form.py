@@ -7,6 +7,7 @@ rejecting bad input.  Functions, forms, classes, matrices, vector fields
 and gauge elements all take their sums from `rings.Terms`, which the last
 tests pin."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -19,7 +20,8 @@ from vfcoho import (AFFINE, TORUS, FiniteLieAlgebra, FormClass, GaugeContext,
                     VectorField, ext_d, neg_jacobian, reduce_mod_exact)
 from vfcoho.cohomology import sl2_defining_rep
 from vfcoho.forms import contract
-from vfcoho.rings import MODELS, Terms
+from vfcoho.rings import MODELS, Terms, model_modes
+from vfcoho.sampling import random_field, random_ring, random_scalar
 
 N = 3
 # Halves and thirds multiply and add up to whole numbers often, which is
@@ -332,3 +334,43 @@ def test_neg_jacobian_is_minus_the_derivatives(data):
     result = neg_jacobian(x)
     assert result.terms == reference
     assert_normal(result)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_random_draws_equal_the_validated_construction(model):
+    """`random_ring` and `random_field` build through `_trusted`; from one
+    seed they must give the sum of the public constructions drawn in the
+    same order, coefficient types included, and leave the generator in
+    the same state.  Repeated and cancelling terms occur among the draws."""
+    n, radius = 2, 1
+    modes = model_modes(model, n, radius)
+
+    def validated_ring(rng, terms):
+        acc = RingElement.zero(n, model)
+        for _ in range(terms):
+            acc = acc + RingElement.monomial(n, model, rng.choice(modes), random_scalar(rng))
+        return acc
+
+    def validated_field(rng, terms):
+        acc = VectorField.zero(n, model)
+        for _ in range(terms):
+            mode = rng.choice(modes)
+            j = rng.randrange(1, n + 1)
+            acc = acc + VectorField.basis(n, model, mode, j).scale(random_scalar(rng))
+        return acc
+
+    short = 0
+    for seed in range(150):
+        terms = 1 + seed % 4
+        for draw, validated in ((random_ring, validated_ring),
+                                (random_field, validated_field)):
+            rng, again = random.Random(seed), random.Random(seed)
+            got = draw(rng, model, n, radius, terms=terms)
+            want = validated(again, terms)
+            assert got == want
+            assert_normal(got)
+            assert rng.random() == again.random()
+            monomials = (sum(len(f.terms) for f in got.terms.values())
+                         if draw is random_field else len(got.terms))
+            short += monomials < terms
+    assert short

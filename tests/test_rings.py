@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vfcoho import AFFINE, TORUS, MismatchError, RingElement
+from vfcoho import AFFINE, TORUS, MismatchError, RingElement, VectorField
 from vfcoho.rings import as_scalar
 
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -99,3 +99,12 @@ def test_text_is_stable():
     assert RingElement.constant(2, TORUS, Fraction(3, 2)).text() == "3/2 * t^(0,0)"
     assert RingElement.monomial(2, AFFINE, (2, 1), -2).text() == "-2 * x^(2,1)"
     assert RingElement.zero(2, TORUS).text() == "0"
+
+
+def test_denominator_is_the_lcm_over_nested_values():
+    f = RingElement(2, TORUS, {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+    g = RingElement(2, TORUS, {(0, 0): Fraction(3, 4), (1, 1): 5})
+    assert f.denominator == 6 and g.denominator == 4
+    assert VectorField([f, g]).denominator == 12
+    assert RingElement.zero(2, TORUS).denominator == 1
+    assert all(type(c) is int for c in f.scale(f.denominator).terms.values())
