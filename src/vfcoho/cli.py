@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
 Flags may be supplied through VFCOHO_* environment variables (VFCOHO_DIM,
-VFCOHO_RADIUS, VFCOHO_SAMPLES, VFCOHO_SEED, VFCOHO_FORMAT, VFCOHO_OUT,
-VFCOHO_MAX_TUPLES); explicit flags win.  JSON output is deterministic for
-a fixed config apart from wall-time fields.
+VFCOHO_MODEL, VFCOHO_RADIUS, VFCOHO_SAMPLES, VFCOHO_SEED, VFCOHO_FORMAT,
+VFCOHO_OUT, VFCOHO_MAX_TUPLES); explicit flags win.  JSON output is
+deterministic for a fixed config apart from wall-time fields.
 """
 
 from __future__ import annotations

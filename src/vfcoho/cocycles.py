@@ -432,9 +432,10 @@ def h2_reduced_one_form_generators(n: int, model: str = "torus") -> list[Cochain
 # -- divergence-free restriction ----------------------------------------------
 
 
-def divfree_basis(n: int, model: str, radius: int) -> list[VectorField]:
-    """Constants plus the rotation family t^m (m_j E_i - m_i E_j), i < j."""
-    fields = [VectorField.basis(n, model, (0,) * n, i) for i in range(1, n + 1)]
+def divfree_basis(n: int, radius: int) -> list[VectorField]:
+    """Torus constants plus the rotation family t^m (m_j E_i - m_i E_j),
+    i < j, for the modes in the box of `radius`."""
+    fields = [VectorField.basis(n, TORUS, (0,) * n, i) for i in range(1, n + 1)]
     for mode in model_modes(TORUS, n, radius):
         if not any(mode):
             continue
@@ -442,8 +443,8 @@ def divfree_basis(n: int, model: str, radius: int) -> list[VectorField]:
             for j in range(i + 1, n + 1):
                 if mode[i - 1] == 0 and mode[j - 1] == 0:
                     continue
-                x = (VectorField.basis(n, model, mode, i).scale(mode[j - 1]) -
-                     VectorField.basis(n, model, mode, j).scale(mode[i - 1]))
+                x = (VectorField.basis(n, TORUS, mode, i).scale(mode[j - 1]) -
+                     VectorField.basis(n, TORUS, mode, j).scale(mode[i - 1]))
                 fields.append(x)
     return fields
 

@@ -12,9 +12,10 @@ plain scalar).  Vector-field cochains act through the derivation / Lie
 derivative; gauge and finite domains treat values as trivial modules.
 
 `FiniteLieAlgebra` keeps one sparse table of its structure constants;
-its bracket, the pointwise `GaugeContext.bracket` and the matrices of
-`ce_matrix` all read it.  `GaugeElement` is a `rings.Terms` keyed by the
-basis index of g; `GaugeElement(...)` validates its coefficients against
+its bracket and validation, `validate_rep`, the pointwise
+`GaugeContext.bracket`, the invariant forms of `extensions` and the
+matrices of `ce_matrix` all read it.  `GaugeElement` is a `rings.Terms`
+keyed by the basis index of g; `GaugeElement(...)` validates its coefficients against
 the context, and its results, the context's constructions, brackets and
 field actions included, are trusted.
 
@@ -29,13 +30,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb, prod
 from operator import methodcaller
 from typing import Callable, Sequence
 
 from .fields import MatrixFunction, VectorField
-from .forms import (FormClass, PForm, _insert_sign, ext_d, field_action,
+from .forms import (FormClass, PForm, _merge_sign, ext_d, field_action,
                     lie_derive, reduce_mod_exact)
 from .linalg import cohomology_dims, mat_mul, sparse_matrix
 from .reports import CheckReport
@@ -51,44 +52,41 @@ Vector = tuple[Scalar, ...]
 class FiniteLieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants.
 
-    `c[a][b][k]` is the coefficient of the k-th basis element in
-    [x_a, x_b], and `sparse[(a, b)]` lists the nonzero (k, c[a][b][k]).
-    Antisymmetry and the Jacobi identity are validated at construction
-    time, exactly.
+    The constructor takes the dense table: `structure[a][b][k]` is the
+    coefficient of the k-th basis element in [x_a, x_b].  The algebra keeps
+    only its nonzero part, `sparse[(a, b)]`, the list of (k, coefficient)
+    for each pair with [x_a, x_b] != 0; the bracket, `validate_rep`, the
+    invariant forms and `ce_matrix` all read it.  Antisymmetry (entry by
+    entry) and the Jacobi identity (the cyclic sum of brackets of basis
+    vectors) are validated at construction time, exactly, and so is the
+    number of names.
     """
 
     def __init__(self, structure: Sequence[Sequence[Sequence]], names: Sequence[str] | None = None):
         dim = len(structure)
-        c = tuple(tuple(tuple(as_scalar(v) for v in row) for row in plane)
-                  for plane in structure)
-        for a in range(dim):
-            if len(c[a]) != dim or any(len(c[a][b]) != dim for b in range(dim)):
-                raise MismatchError("structure constants must be dim x dim x dim")
-        for a in range(dim):
-            for b in range(dim):
-                if any(c[a][b][k] + c[b][a][k] for k in range(dim)):
-                    raise MismatchError(f"structure constants not antisymmetric at ({a},{b})")
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                for d in range(b + 1, dim):
-                    for k in range(dim):
-                        acc = 0
-                        for m in range(dim):
-                            acc += c[a][b][m] * c[m][d][k]
-                            acc += c[b][d][m] * c[m][a][k]
-                            acc += c[d][a][m] * c[m][b][k]
-                        if acc:
-                            raise MismatchError(
-                                f"Jacobi identity fails on basis triple ({a},{b},{d})")
+        if any(len(plane) != dim or any(len(row) != dim for row in plane)
+               for plane in structure):
+            raise MismatchError("structure constants must be dim x dim x dim")
         self.dim = dim
-        self.c = c
         self.sparse: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-        for a in range(dim):
-            for b in range(dim):
-                row = [(k, v) for k, v in enumerate(c[a][b]) if v]
-                if row:
-                    self.sparse[(a, b)] = row
+        for a, plane in enumerate(structure):
+            for b, row in enumerate(plane):
+                if entries := [(k, c) for k, v in enumerate(row) if (c := as_scalar(v))]:
+                    self.sparse[(a, b)] = entries
+        for a, b in combinations_with_replacement(range(dim), 2):
+            if (dict(self.sparse.get((b, a), ()))
+                    != {k: -c for k, c in self.sparse.get((a, b), ())}):
+                raise MismatchError(f"structure constants not antisymmetric at ({a},{b})")
+        basis = [self.basis_vector(a) for a in range(dim)]
+        for a, b, d in combinations(range(dim), 3):
+            x, y, z = basis[a], basis[b], basis[d]
+            if any(p + q + r for p, q, r in zip(self.bracket(self.bracket(x, y), z),
+                                                self.bracket(self.bracket(y, z), x),
+                                                self.bracket(self.bracket(z, x), y))):
+                raise MismatchError(f"Jacobi identity fails on basis triple ({a},{b},{d})")
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(dim))
+        if len(self.names) != dim:
+            raise MismatchError(f"{len(self.names)} names for an algebra of dimension {dim}")
 
     @classmethod
     def abelian(cls, dim: int) -> "FiniteLieAlgebra":
@@ -163,7 +161,7 @@ def validate_rep(lie: FiniteLieAlgebra, rep: Sequence) -> None:
         for b in range(lie.dim):
             left, right = mat_mul(rep[a], rep[b]), mat_mul(rep[b], rep[a])
             comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
-            want = [[sum(coeff * rep[k][i][j] for k, coeff in enumerate(lie.c[a][b]))
+            want = [[sum(coeff * rep[k][i][j] for k, coeff in lie.sparse.get((a, b), ()))
                      for j in range(size)] for i in range(size)]
             if comm != want:
                 raise MismatchError(f"representation fails on basis pair ({a},{b})")
@@ -333,8 +331,7 @@ def domain_bracket(cochain: Cochain) -> Callable:
     return cochain.ctx.bracket  # GaugeContext or FiniteLieAlgebra
 
 
-def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
-             bracket_fn: Callable | None = None):
+def ce_apply(cochain: Cochain, args: Sequence):
     """Evaluate the Chevalley-Eilenberg differential of `cochain` on args.
 
     d c is multilinear over Q, as the `Cochain` contract makes c.  So on
@@ -352,8 +349,8 @@ def ce_apply(cochain: Cochain, args: Sequence, action: Callable | None = None,
               else [x.denominator for x in args])  # D_i
     if (whole := prod(scales)) > 1:
         args = tuple(x if d == 1 else x.scale(d) for x, d in zip(args, scales))
-    action = action or module_action(cochain.domain, cochain.values)
-    bracket_fn = bracket_fn or domain_bracket(cochain)
+    action = module_action(cochain.domain, cochain.values)
+    bracket_fn = domain_bracket(cochain)
     total = zero_value(cochain.values, cochain.n, cochain.model, cochain.value_degree)
     for i, x in enumerate(args if action else ()):  # no sum for a trivial module
         rest = args[:i] + args[i + 1:]
@@ -392,14 +389,12 @@ def is_cocycle(cochain: Cochain, radius: int = 2, samples: int = 100,
     `max_tuples`; beyond that, a seeded uniform sample of that size.
     Residuals are exact, so any failure produces a concrete witness.
     """
-    action = module_action(cochain.domain, cochain.values)
-    bracket_fn = domain_bracket(cochain)
     text = (cochain.ctx.vector_text if cochain.domain == "finite"
             else methodcaller("text"))
     return seeded_check(
         name or f"cocycle:{cochain.name}", _domain_elements(cochain, radius),
         cochain.degree + 1,
-        lambda *args: ce_apply(cochain, args, action, bracket_fn),
+        lambda *args: ce_apply(cochain, args),
         seed=seed, budget=max_tuples, samples=samples,
         random_element=lambda rng: _random_domain_element(cochain, rng, radius),
         params=dict(cochain.spec_dict(), radius=radius), text=text)
@@ -435,10 +430,9 @@ def ce_matrix(lie: FiniteLieAlgebra, p: int):
             for i, j in combinations(range(p + 1), 2):
                 rest = S[:i] + S[i + 1:j] + S[j + 1:]
                 for k, coeff in lie.sparse.get((S[i], S[j]), ()):
-                    if k in rest:
-                        continue
-                    sign, T = _insert_sign(k, rest)
-                    yield T, S, (-1) ** (i + j) * sign * coeff
+                    if (signed := _merge_sign((k,), rest)) is not None:
+                        sign, T = signed
+                        yield T, S, (-1) ** (i + j) * sign * coeff
 
     return sparse_matrix(list(combinations(range(lie.dim), p)), targets, entries())
 

@@ -74,8 +74,8 @@ class InvariantForm:
         for a in range(dim):
             for b in range(dim):
                 for c in range(dim):
-                    left = sum(lie.c[a][b][k] * m[k][c] for k in range(dim))
-                    right = sum(lie.c[a][c][k] * m[b][k] for k in range(dim))
+                    left = sum(v * m[k][c] for k, v in lie.sparse.get((a, b), ()))
+                    right = sum(v * m[b][k] for k, v in lie.sparse.get((a, c), ()))
                     if left + right:
                         raise MismatchError(
                             f"form not invariant on basis triple ({a},{b},{c})")
@@ -85,9 +85,10 @@ class InvariantForm:
 
 def killing_form(lie: FiniteLieAlgebra) -> InvariantForm:
     """B(x, y) = trace(ad x . ad y): the `trace_form` of the adjoint
-    representation, (ad x_a)_{ij} = c[a][j][i]."""
-    idx = range(lie.dim)
-    return trace_form(lie, [[[lie.c[a][j][i] for j in idx] for i in idx] for a in idx])
+    representation, whose j-th column of ad x_a is [x_a, x_j]."""
+    basis = [lie.basis_vector(a) for a in range(lie.dim)]
+    return trace_form(lie, [tuple(zip(*(lie.bracket(x, y) for y in basis)))
+                            for x in basis])
 
 
 def trace_form(lie: FiniteLieAlgebra, rep: Sequence) -> InvariantForm:
@@ -130,7 +131,7 @@ class ExtensionSetup:
                     continue
                 if dfa is None:
                     dfa = ext_d(PForm.from_ring(fa))
-                total = total + dfa.mul_ring(fb).scale(coeff)
+                total = total + dfa.wedge(PForm.from_ring(fb)).scale(coeff)
         return total
 
 

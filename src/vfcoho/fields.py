@@ -112,8 +112,9 @@ class MatrixFunction(Terms):
     Products of Jacobians of monomial fields stay single-row, so sparse
     storage is what keeps the trace cocycles cheap.
 
-    The constructor checks every entry; sums, products and scalings of
-    valid matrices go through `_trusted` and are not checked again.
+    The constructor checks every entry, and that they are all of one kind;
+    sums, products and scalings of valid matrices go through `_trusted`
+    and are not checked again.
     """
 
     __slots__ = ()
@@ -124,13 +125,18 @@ class MatrixFunction(Terms):
         if model not in MODELS:
             raise MismatchError(f"unknown model {model!r}")
         clean: MatrixEntries = {}
+        kinds = set()
         for (i, j), f in (entries or {}).items():
             if not 0 <= i < n or not 0 <= j < n:
                 raise MismatchError(f"entry ({i},{j}) out of range for n={n}")
             if f.n != n or f.model != model:
                 raise MismatchError("entry ring mismatch")
+            kinds.add((type(f), f.degree))
             if not f.is_zero():
                 clean[(i, j)] = f
+        if len(kinds) > 1:
+            raise MismatchError("matrix entries must be all functions or all "
+                                "forms of one degree")
         self.n = n
         self.model = model
         self.terms = clean

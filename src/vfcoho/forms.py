@@ -33,8 +33,11 @@ it off the `ext_d` images of basis monomials as `linalg` dict rows.
 
 `PForm` is a `rings.Terms`, keyed by (mode, coframe subset), so it shares
 its sums, negation, scaling, equality and text with `RingElement`; it adds
-the degree, `from_ring`/`as_ring`, `mul_ring` and the wedge product.  Forms
-of different degrees do not add, not even when one of them is zero.
+the degree, `from_ring`/`as_ring` and the wedge product, which is also the
+product with a function (`w.wedge(PForm.from_ring(f))`).  Forms of
+different degrees do not add, not even when one of them is zero.  Every
+coframe sign, in d, in the wedge and in `cohomology.ce_matrix`, is the
+sign of merging two sorted index sets, `_merge_sign`.
 
 `FormClass` is a `rings.Terms` over the terms of its reduced
 representative `.rep`, so equality of classes is equality of
@@ -75,16 +78,15 @@ def _check_subset(n: int, subset: Subset) -> Subset:
     return subset
 
 
-def _insert_sign(j: int, subset: Subset) -> tuple[int, Subset] | None:
-    """Sign and result of kappa_j ^ kappa_subset, or None if j in subset."""
-    if j in subset:
-        return None
-    before = sum(1 for i in subset if i < j)
-    merged = tuple(sorted(subset + (j,)))
-    return (-1) ** before, merged
-
-
+@lru_cache(maxsize=None)
 def _merge_sign(left: Subset, right: Subset) -> tuple[int, Subset] | None:
+    """Sign and subset of kappa_left ^ kappa_right, or None if they meet.
+
+    The one coframe sign rule: d, the wedge and `cohomology.ce_matrix` all
+    call it.  It is pure, and its arguments are pairs of increasing subsets
+    of one index set of size n (the coframe, or a basis of a finite Lie
+    algebra), so the cache holds at most 4^n entries per index set.
+    """
     if set(left) & set(right):
         return None
     inversions = sum(1 for a in left for b in right if a > b)
@@ -174,22 +176,6 @@ class PForm(Terms):
 
     # -- products ----------------------------------------------------------
 
-    def mul_ring(self, f: RingElement) -> "PForm":
-        """Multiply by a function (degree unchanged)."""
-        self._compatible(f)
-        out: dict[Key, int | Fraction] = {}
-        for (mode, subset), c in self.terms.items():
-            for fmode, fc in f.terms.items():
-                key = (tuple(map(add, mode, fmode)), subset)
-                s = out.get(key)
-                if s is None:
-                    out[key] = c * fc
-                elif s := s + c * fc:
-                    out[key] = s
-                else:
-                    del out[key]
-        return PForm._trusted(self.n, self.model, self.degree, out)
-
     def _mul_into(self, other: "PForm", out: dict) -> dict:
         """Add the terms of self ^ other into the caller's dict `out`, as `_collect` does."""
         for (m1, s1), c1 in self.terms.items():
@@ -227,9 +213,9 @@ def ext_d(w: PForm) -> PForm:
     for (mode, subset), c in w.terms.items():
         for j in range(1, w.n + 1):
             e = mode[j - 1]
-            if e == 0 or j in subset:
+            if e == 0 or (signed := _merge_sign((j,), subset)) is None:
                 continue
-            sign, merged = _insert_sign(j, subset)
+            sign, merged = signed
             target = mode if torus else mode[: j - 1] + (e - 1,) + mode[j:]
             key = (target, merged)
             s = out.get(key)
@@ -374,26 +360,27 @@ def _reduce_affine(w: PForm) -> PForm:
 def reduce_mod_exact(w: PForm) -> "FormClass":
     """Canonical representative of [w] in p-forms modulo exact forms."""
     reduced = _reduce_torus(w) if w.model == TORUS else _reduce_affine(w)
-    return FormClass(reduced)
+    return FormClass._normal(w.n, w.model, w.degree, reduced.terms)
 
 
 class FormClass(Terms):
     """A class in the quotient of p-forms by exact forms, stored as the
     terms of its reduced representative.
 
-    The constructor trusts its input to be reduced; use `reduce_mod_exact`
-    to build classes from arbitrary forms.  Linear operations preserve
-    reducedness (the reduction is linear and idempotent), so the sums,
-    negation and scaling of `Terms` work directly on the terms.
+    `FormClass(w)` is the class of any form w, the same as
+    `reduce_mod_exact(w)`.  Linear operations preserve reducedness (the
+    reduction is linear and idempotent), so the sums, negation and scaling
+    of `Terms` work directly on the terms.
     """
 
     __slots__ = ("degree",)
 
-    def __init__(self, rep: PForm):
-        self.n = rep.n
-        self.model = rep.model
-        self.degree = rep.degree
-        self.terms = rep.terms
+    def __init__(self, w: PForm):
+        reduced = reduce_mod_exact(w)
+        self.n = reduced.n
+        self.model = reduced.model
+        self.degree = reduced.degree
+        self.terms = reduced.terms
 
     _normal = PForm.__dict__["_normal"]
     _trusted = PForm.__dict__["_trusted"]

@@ -147,7 +147,7 @@ def suite_crossed_hom(cfg: RunConfig) -> list[CheckReport]:
 def _divfree_vanishing(cfg: RunConfig) -> CheckReport:
     n = cfg.dim
     wp = wedge_pair_cocycle(n, TORUS)
-    elements = divfree_basis(n, TORUS, cfg.radius)
+    elements = divfree_basis(n, cfg.radius)
 
     def rnd(rng):
         acc = VectorField.zero(n, TORUS)
@@ -164,7 +164,7 @@ def _divfree_witness(cfg: RunConfig) -> CheckReport:
     return run_check(
         "cocycle:divfree:reduced-trace-2-witness",
         {"dim": cfg.dim, "radius": cfg.radius},
-        combinations(divfree_basis(cfg.dim, TORUS, cfg.radius), 2), True,
+        combinations(divfree_basis(cfg.dim, cfg.radius), 2), True,
         reduced_trace_cocycle(2, cfg.dim, TORUS).evaluate,
         search="no divergence-free pair with nonzero value "
                f"in the radius-{cfg.radius} box")
@@ -324,7 +324,7 @@ def suite_relations(cfg: RunConfig) -> list[CheckReport]:
             res = lie_derive(x, kappas[i])
             for (a, b), f in u.terms.items():
                 if a == i:
-                    res = res + kappas[b].mul_ring(f)
+                    res = res + kappas[b].wedge(PForm.from_ring(f))
             if not res.is_zero():
                 return res
         return PForm.zero(n, model, 1)

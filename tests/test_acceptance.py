@@ -151,7 +151,7 @@ def test_criterion_06_relation_suite():
 
 def test_criterion_07_divergence_free_restriction(golden):
     wp = wedge_pair_cocycle(2, TORUS)
-    fields = divfree_basis(2, TORUS, 2)
+    fields = divfree_basis(2, 2)
     ok = bool(fields)
     for x, y in combinations(fields, 2):
         ok = ok and wp.evaluate(x, y).is_zero()

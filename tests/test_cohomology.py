@@ -65,7 +65,8 @@ def _dense_ce_matrix(lie, p):
             acc = 0
             for i, j in combinations(range(p + 1), 2):
                 rest = tuple(S[k] for k in range(p + 1) if k not in (i, j))
-                for k, coeff in enumerate(lie.c[S[i]][S[j]]):
+                bracket = lie.bracket(lie.basis_vector(S[i]), lie.basis_vector(S[j]))
+                for k, coeff in enumerate(bracket):
                     acc += (-1) ** (i + j) * coeff * dual(T, k, rest)
             row.append(acc)
         rows.append(row)
@@ -80,10 +81,41 @@ def test_ce_matrix_matches_a_dense_evaluation(lie):
     assert any(any(row) for row in _dense(lie, 1))
 
 
+def _table(dim, brackets):
+    """Dense structure constants with [x_a, x_b] = sum_k c x_k for each
+    (a, b): {k: c} in `brackets`, and 0 elsewhere."""
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (a, b), row in brackets.items():
+        for k, c in row.items():
+            table[a][b][k] = c
+    return table
+
+
 def test_structure_constants_validated():
-    with pytest.raises(MismatchError):
+    with pytest.raises(MismatchError, match=r"not antisymmetric at \(0,1\)"):
         # [a,b] = a is not antisymmetrizable into a Lie bracket
         FiniteLieAlgebra([[[0, 0], [1, 0]], [[1, 0], [0, 0]]], names=["a", "b"])
+    with pytest.raises(MismatchError, match=r"not antisymmetric at \(0,2\)"):
+        # [x2, x0] = x1 without its partner [x0, x2]; the pair (1,2) is fine
+        FiniteLieAlgebra(_table(3, {(2, 0): {1: 1}, (1, 2): {0: 1}, (2, 1): {0: -1}}))
+
+
+def test_jacobi_identity_validated():
+    # [x0, x1] = x1 and [x1, x2] = x0 are antisymmetric, but the cyclic sum
+    # on (x0, x1, x2) is [x1, x2] + 0 + 0 = x0
+    table = _table(3, {(0, 1): {1: 1}, (1, 0): {1: -1}, (1, 2): {0: 1}, (2, 1): {0: -1}})
+    with pytest.raises(MismatchError, match=r"Jacobi identity fails on basis triple \(0,1,2\)"):
+        FiniteLieAlgebra(table)
+    table[1][2][0] = table[2][1][0] = 0
+    assert FiniteLieAlgebra(table).sparse == {(0, 1): [(1, 1)], (1, 0): [(1, -1)]}
+
+
+def test_names_must_match_the_dimension():
+    with pytest.raises(MismatchError):
+        FiniteLieAlgebra(_table(2, {}), names=("a",))
+    with pytest.raises(MismatchError):
+        FiniteLieAlgebra(_table(2, {}), names=("a", "b", "c"))
+    assert FiniteLieAlgebra(_table(2, {}), names=("a", "b")).vector_text((1, 1)) == "1 a + 1 b"
 
 
 def test_rep_validation_catches_wrong_commutators():
@@ -146,7 +178,8 @@ def _non_flat_coframe():
 def _unreduced_quotient():
     # without the reduction, w + d eta and w give different classes
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(suites, "reduce_mod_exact", FormClass)
+        patch.setattr(suites, "reduce_mod_exact",
+                      lambda w: FormClass._normal(w.n, w.model, w.degree, w.terms))
         return suites._representative_independence(
             RunConfig(dim=2, radius=1, samples=5), TORUS)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfcoho import (AFFINE, TORUS, MismatchError, PForm, RingElement,
+from vfcoho import (AFFINE, TORUS, FormClass, MismatchError, PForm, RingElement,
                     VectorField, ext_d, lie_derive, reduce_mod_exact)
 from vfcoho import forms, suites
 from vfcoho.forms import contract, de_rham_dims, is_exact
@@ -193,6 +193,23 @@ def test_reduction_ignores_exact_shifts_degree_two(w, eta):
 def test_reduction_is_idempotent(w):
     cls = reduce_mod_exact(w)
     assert reduce_mod_exact(cls.rep) == cls
+
+
+@given(st.data(), st.sampled_from([TORUS, AFFINE]), st.integers(1, 2))
+@settings(max_examples=60)
+def test_class_constructor_reduces_its_form(data, model, degree):
+    """`FormClass(w)` is the class of any form w: `reduce_mod_exact(w)`,
+    and the zero class when w is exact."""
+    w = data.draw(forms_of_degree(degree, model=model))
+    eta = data.draw(forms_of_degree(degree - 1, model=model))
+    assert FormClass(w) == reduce_mod_exact(w)
+    assert FormClass(ext_d(eta)) == FormClass.zero(2, model, degree)
+    assert FormClass(w + ext_d(eta)) == FormClass(w)
+
+
+def test_class_of_an_exact_monomial_is_zero():
+    exact = ext_d(PForm.from_ring(RingElement.monomial(2, TORUS, (1, 0))))
+    assert FormClass(exact) == FormClass.zero(2, TORUS, 1)
 
 
 @given(forms_of_degree(1), forms_of_degree(0))

@@ -120,7 +120,7 @@ def test_form_results_are_in_normal_form(data):
     one = data.draw(forms(model, 1))
     f, x = data.draw(rings(model)), data.draw(fields(model))
     c = data.draw(scalars)
-    results = [a + b, a - b, a - a, -a, a.scale(c), a.mul_ring(f), a.wedge(one),
+    results = [a + b, a - b, a - a, -a, a.scale(c), a.wedge(PForm.from_ring(f)), a.wedge(one),
                ext_d(a), reduce_mod_exact(a).rep, reduce_mod_exact(one.wedge(one)).rep,
                PForm.from_ring(f)]
     if p:
@@ -226,6 +226,17 @@ def test_matrix_constructor_rejects_bad_entries():
         MatrixFunction(2, TORUS, {(0, 0): RingElement.one(2, AFFINE)})
     with pytest.raises(MismatchError):
         MatrixFunction(2, TORUS, {(0, 0): RingElement.one(3, TORUS)})
+
+
+def test_matrix_constructor_rejects_mixed_entries():
+    """Entries are all functions or all forms of one degree."""
+    one, k1 = RingElement.one(2, TORUS), PForm.kappa(2, TORUS, 1)
+    for mixed in ({(0, 0): one, (1, 1): k1},
+                  {(0, 0): one, (1, 1): PForm.from_ring(one)},
+                  {(0, 0): k1, (0, 1): k1.wedge(PForm.kappa(2, TORUS, 2))}):
+        with pytest.raises(MismatchError):
+            MatrixFunction(2, TORUS, mixed)
+    assert MatrixFunction(2, TORUS, {(0, 0): k1, (1, 1): -k1}).trace(1).is_zero()
 
 
 @settings(max_examples=30)
